@@ -6,10 +6,12 @@
 //! system ("Reducing program size is one way to reduce instruction cache
 //! misses and achieve higher performance", §1, citing [Chen97b]) and lists
 //! performance exploration as future work (§5). This crate provides that
-//! substrate: a set-associative I-cache model ([`Cache`]) plus a tracing
-//! fetch adapter ([`TracingFetch`]) that records the program-memory
-//! references a fetch engine actually makes, so compressed and uncompressed
-//! executions of the same kernel can be compared miss-for-miss.
+//! substrate: a set-associative I-cache model ([`Cache`]) fed with the
+//! program-memory references a run makes, as it makes them —
+//! [`Cache::access_nibbles`] takes the `(pc, nibbles)` pairs that
+//! `codense_vm::run_predecoded_with` observes — so compressed and
+//! uncompressed executions of the same kernel can be compared
+//! miss-for-miss without recording a trace.
 //!
 //! A compressed program touches fewer distinct bytes for the same executed
 //! instructions, so at equal cache size its miss count can only shrink —
@@ -24,11 +26,10 @@
 //! assert!(!cache.access(0));       // cold miss
 //! assert!(cache.access(4));        // same line: hit
 //! assert!(!cache.access(1 << 20)); // different line: miss
-//! assert_eq!(cache.stats().misses, 2);
+//! assert_eq!(cache.finish().misses, 2);
 //! ```
 
 use codense_core::telemetry;
-use codense_vm::{Fetch, FetchStats};
 
 /// Cache geometry. All three parameters must be powers of two and
 /// `size_bytes >= line_bytes * ways`.
@@ -58,24 +59,20 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in `[0, 1]`; 0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A set-associative cache with true-LRU replacement.
+///
+/// Counts stay local while the cache runs; [`finish`](Self::finish)
+/// publishes them to telemetry once per scored run.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// `sets[s]` holds up to `ways` tags, most recently used last.
     sets: Vec<Vec<u64>>,
+    /// The line of the latest access: resident, and already its set's most
+    /// recently used, so touching it again changes nothing but the counts.
+    last: Option<u64>,
     stats: CacheStats,
+    evictions: u64,
 }
 
 impl Cache {
@@ -93,7 +90,13 @@ impl Cache {
             config.size_bytes >= config.line_bytes * config.ways,
             "capacity below one line per way"
         );
-        Cache { config, sets: vec![Vec::new(); config.sets()], stats: CacheStats::default() }
+        Cache {
+            config,
+            sets: vec![Vec::with_capacity(config.ways); config.sets()],
+            last: None,
+            stats: CacheStats::default(),
+            evictions: 0,
+        }
     }
 
     /// The configured geometry.
@@ -103,22 +106,23 @@ impl Cache {
 
     /// Accesses the line containing byte `addr`. Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line as usize) % self.config.sets();
-        let tags = &mut self.sets[set];
+        let line = addr >> self.config.line_bytes.trailing_zeros();
         self.stats.accesses += 1;
-        telemetry::CACHE_ACCESSES.inc();
+        if self.last == Some(line) {
+            return true;
+        }
+        self.last = Some(line);
+        // Power-of-two set count: the modulus is a mask.
+        let set = line as usize & (self.sets.len() - 1);
+        let tags = &mut self.sets[set];
         if let Some(pos) = tags.iter().position(|&t| t == line) {
-            let tag = tags.remove(pos);
-            tags.push(tag);
-            telemetry::CACHE_HITS.inc();
+            tags[pos..].rotate_left(1);
             true
         } else {
             self.stats.misses += 1;
-            telemetry::CACHE_MISSES.inc();
             if tags.len() == self.config.ways {
                 tags.remove(0);
-                telemetry::CACHE_EVICTIONS.inc();
+                self.evictions += 1;
             }
             tags.push(line);
             false
@@ -138,91 +142,34 @@ impl Cache {
         }
     }
 
+    /// Accesses the program memory behind one fetch: `nibbles` nibbles from
+    /// nibble address `nibble_addr`, halved to bytes and rounded out to
+    /// whole bytes. A zero-nibble fetch (an instruction drained from the
+    /// dictionary expansion buffer) touches no memory.
+    pub fn access_nibbles(&mut self, nibble_addr: u64, nibbles: u64) {
+        if nibbles == 0 {
+            return;
+        }
+        let start = nibble_addr / 2;
+        let end = (nibble_addr + nibbles).div_ceil(2);
+        self.access_range(start, end - start);
+    }
+
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.stats = CacheStats::default();
-    }
-}
-
-/// A program-memory reference: starting *nibble* address and nibble length
-/// (the fetch domain's units; divide by two for bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchRef {
-    /// Starting nibble address.
-    pub nibble_addr: u64,
-    /// Nibbles consumed from program memory (0 for instructions delivered
-    /// out of the dictionary expansion buffer).
-    pub nibbles: u64,
-}
-
-/// Wraps any fetch engine and records each program-memory reference it
-/// makes (derived from its own fetch counters, so buffered dictionary
-/// deliveries correctly record zero memory traffic).
-#[derive(Debug)]
-pub struct TracingFetch<F> {
-    inner: F,
-    trace: Vec<FetchRef>,
-}
-
-impl<F: Fetch> TracingFetch<F> {
-    /// Wraps a fetch engine.
-    pub fn new(inner: F) -> TracingFetch<F> {
-        TracingFetch { inner, trace: Vec::new() }
-    }
-
-    /// The recorded reference trace.
-    pub fn trace(&self) -> &[FetchRef] {
-        &self.trace
-    }
-
-    /// Consumes the adapter, returning the trace.
-    pub fn into_trace(self) -> Vec<FetchRef> {
-        self.trace
-    }
-
-    /// Replays the recorded trace against a cache.
-    pub fn replay(&self, cache: &mut Cache) {
-        replay(&self.trace, cache);
-    }
-}
-
-/// Replays a reference trace against a cache (nibble addresses halved to
-/// bytes, lengths rounded out to whole bytes).
-pub fn replay(trace: &[FetchRef], cache: &mut Cache) {
-    telemetry::CACHE_REPLAYS.inc();
-    for r in trace {
-        if r.nibbles == 0 {
-            continue;
-        }
-        let start = r.nibble_addr / 2;
-        let end = (r.nibble_addr + r.nibbles).div_ceil(2);
-        cache.access_range(start, end - start);
-    }
-}
-
-impl<F: Fetch> Fetch for TracingFetch<F> {
-    fn fetch(&mut self, pc: u64) -> Result<codense_vm::fetch::Fetched, codense_vm::MachineError> {
-        let before = self.inner.stats().nibbles_fetched;
-        let out = self.inner.fetch(pc)?;
-        let consumed = self.inner.stats().nibbles_fetched - before;
-        self.trace.push(FetchRef { nibble_addr: pc, nibbles: consumed });
-        Ok(out)
-    }
-
-    fn granule(&self) -> u32 {
-        self.inner.granule()
-    }
-
-    fn stats(&self) -> FetchStats {
-        self.inner.stats()
+    /// Ends a scored run: adds its counts to the `cache.*` telemetry
+    /// counters (one `cache.replays`) and returns them.
+    pub fn finish(self) -> CacheStats {
+        let s = self.stats;
+        telemetry::CACHE_REPLAYS.inc();
+        telemetry::CACHE_ACCESSES.add(s.accesses);
+        telemetry::CACHE_HITS.add(s.accesses - s.misses);
+        telemetry::CACHE_MISSES.add(s.misses);
+        telemetry::CACHE_EVICTIONS.add(self.evictions);
+        s
     }
 }
 
@@ -285,31 +232,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_buffered_fetches() {
-        let trace = vec![
-            FetchRef { nibble_addr: 0, nibbles: 4 },
-            FetchRef { nibble_addr: 0, nibbles: 0 }, // buffered expansion
-            FetchRef { nibble_addr: 4, nibbles: 9 },
-        ];
+    fn nibble_fetches_round_out_to_bytes() {
         let mut c = direct(256, 16);
-        replay(&trace, &mut c);
+        c.access_nibbles(0, 4);
+        c.access_nibbles(0, 0); // buffered expansion: no memory traffic
+        c.access_nibbles(4, 9);
         // 0..2 bytes and 2..7 bytes: both in line 0.
         assert_eq!(c.stats().accesses, 2);
         assert_eq!(c.stats().misses, 1);
+        // Nibbles 31..33 straddle bytes 15 and 16: two lines.
+        c.access_nibbles(31, 2);
+        assert_eq!(c.stats(), CacheStats { accesses: 4, misses: 2 });
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_geometry_rejected() {
         Cache::new(CacheConfig { size_bytes: 100, line_bytes: 16, ways: 1 });
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = direct(64, 16);
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(!c.access(0), "cold again after reset");
     }
 }

@@ -5,30 +5,30 @@
 //! aggregate ones, plus a strong per-program claim on the real benchmark
 //! images whose redundancy the scheme targets.
 
-use codense_cache::{replay, Cache, CacheConfig, FetchRef, TracingFetch};
+use codense_cache::{Cache, CacheConfig};
 use codense_core::{CompressionConfig, Compressor};
-use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher};
+use codense_vm::kernels::{self, Kernel};
+use codense_vm::{machine::Machine, run_predecoded_with, PredecodedFetcher};
 
-fn miss_counts(kernel: &codense_vm::kernels::Kernel, config: CacheConfig) -> (u64, u64) {
+/// Misses of one checked run, with the cache fed as the program runs.
+fn misses(kernel: &Kernel, mut fetch: PredecodedFetcher, config: CacheConfig) -> u64 {
     let mut machine = Machine::new(1 << 20);
     kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-    let r1 = run(&mut machine, &mut fetch, 0, 10_000_000).expect("uncompressed run");
     let mut cache = Cache::new(config);
-    fetch.replay(&mut cache);
-    let plain = cache.stats().misses;
+    let r = run_predecoded_with(&mut machine, &mut fetch, 0, 10_000_000, |pc, n| {
+        cache.access_nibbles(pc, n)
+    })
+    .expect("kernel run");
+    assert_eq!(r.exit_code, kernel.expected);
+    cache.finish().misses
+}
 
+fn miss_counts(kernel: &Kernel, config: CacheConfig) -> (u64, u64) {
     let compressed = Compressor::new(CompressionConfig::nibble_aligned())
         .compress(&kernel.module)
         .expect("compress");
-    let mut machine = Machine::new(1 << 20);
-    kernel.apply_init(&mut machine);
-    let mut fetch = TracingFetch::new(CompressedFetcher::new(&compressed));
-    let r2 = run(&mut machine, &mut fetch, 0, 10_000_000).expect("compressed run");
-    assert_eq!(r1.exit_code, r2.exit_code);
-    let mut cache = Cache::new(config);
-    fetch.replay(&mut cache);
-    (plain, cache.stats().misses)
+    let plain = misses(kernel, PredecodedFetcher::linear(kernel.module.code.clone()), config);
+    (plain, misses(kernel, PredecodedFetcher::new(&compressed), config))
 }
 
 #[test]
@@ -88,24 +88,4 @@ fn benchmark_images_halve_their_cold_footprint() {
         (0.40..0.60).contains(&ratio),
         "cold footprint ratio {ratio:.2} should track the compression ratio"
     );
-}
-
-#[test]
-fn trace_replay_is_deterministic() {
-    let kernel = kernels::bubble_sort();
-    let run_trace = || {
-        let mut machine = Machine::new(1 << 20);
-        kernel.apply_init(&mut machine);
-        let mut fetch = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-        run(&mut machine, &mut fetch, 0, 10_000_000).unwrap();
-        fetch.into_trace()
-    };
-    let a: Vec<FetchRef> = run_trace();
-    let b: Vec<FetchRef> = run_trace();
-    assert_eq!(a, b);
-    let mut c1 = Cache::new(CacheConfig { size_bytes: 256, line_bytes: 16, ways: 2 });
-    let mut c2 = Cache::new(CacheConfig { size_bytes: 256, line_bytes: 16, ways: 2 });
-    replay(&a, &mut c1);
-    replay(&b, &mut c2);
-    assert_eq!(c1.stats(), c2.stats());
 }

@@ -448,10 +448,8 @@ pub fn thumb(ctx: &mut Ctx) {
 
 /// Extension (§1/§5, [Chen97b]): I-cache misses, compressed vs uncompressed.
 pub fn cache(_ctx: &mut Ctx) {
-    use codense_cache::{Cache, CacheConfig, TracingFetch};
-    use codense_vm::{
-        fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
-    };
+    use codense_cache::{Cache, CacheConfig};
+    use codense_vm::{kernels, machine::Machine, run_predecoded_with, PredecodedFetcher};
     println!("Extension: I-cache misses executing kernels (16B lines, direct-mapped)");
     println!("(compression shrinks the code working set; [Chen97b]'s premise)\n");
     let sizes = [64usize, 128, 256, 512];
@@ -466,21 +464,19 @@ pub fn cache(_ctx: &mut Ctx) {
         let mut row = vec![kernel.name.to_string()];
         for &size in &sizes {
             let config = CacheConfig { size_bytes: size, line_bytes: 16, ways: 1 };
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
-            let mut plain = TracingFetch::new(LinearFetcher::new(kernel.module.code.clone()));
-            run(&mut machine, &mut plain, 0, 10_000_000).expect("plain run");
-            let mut c1 = Cache::new(config);
-            plain.replay(&mut c1);
-
-            let mut machine = Machine::new(1 << 20);
-            kernel.apply_init(&mut machine);
-            let mut comp = TracingFetch::new(CompressedFetcher::new(&compressed));
-            run(&mut machine, &mut comp, 0, 10_000_000).expect("compressed run");
-            let mut c2 = Cache::new(config);
-            comp.replay(&mut c2);
-
-            row.push(format!("{}/{}", c1.stats().misses, c2.stats().misses));
+            let misses = |mut fetch: PredecodedFetcher| {
+                let mut machine = Machine::new(1 << 20);
+                kernel.apply_init(&mut machine);
+                let mut cache = Cache::new(config);
+                run_predecoded_with(&mut machine, &mut fetch, 0, 10_000_000, |pc, n| {
+                    cache.access_nibbles(pc, n)
+                })
+                .expect("kernel run");
+                cache.finish().misses
+            };
+            let plain = misses(PredecodedFetcher::linear(kernel.module.code.clone()));
+            let comp = misses(PredecodedFetcher::new(&compressed));
+            row.push(format!("{plain}/{comp}"));
         }
         t.row(row);
     }

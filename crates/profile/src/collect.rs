@@ -3,7 +3,7 @@
 use codense_core::{telemetry, CompressError, CompressionConfig, Compressor, EncodingKind};
 use codense_obj::BasicBlocks;
 use codense_vm::kernels::Kernel;
-use codense_vm::{run, run_traced, CompressedFetcher, LinearFetcher, MachineError};
+use codense_vm::{run_predecoded, run_predecoded_with, MachineError, PredecodedFetcher};
 
 use crate::artifact::{BlockStat, FetchEvents, Profile};
 use crate::subject::Subject;
@@ -63,7 +63,7 @@ impl From<codense_core::VerifyError> for ProfileError {
     }
 }
 
-/// Profiles one benchmark: a traced native run for per-instruction and
+/// Profiles one benchmark: an observed native run for per-instruction and
 /// per-block execution counts, plus a reference fully-compressed run under
 /// `encoding` for the fetch-path event totals (escape decodes, codeword
 /// expansions, nibble traffic, realignments).
@@ -97,11 +97,13 @@ pub fn collect_subject(
 
     // Native reference run with per-instruction counting.
     let mut counts = vec![0u64; subject.module.len()];
-    let mut machine = subject.machine_native();
-    let mut fetch = LinearFetcher::new(subject.module.code.clone());
-    let native = run_traced(&mut machine, &mut fetch, 0, max_steps, |pc, _| {
-        counts[(pc / 8) as usize] += 1;
-    })?;
+    let native = run_predecoded_with(
+        &mut subject.machine_native(),
+        &mut PredecodedFetcher::linear(subject.module.code.clone()),
+        0,
+        max_steps,
+        |pc, _| counts[(pc / 8) as usize] += 1,
+    )?;
     if native.exit_code != subject.expected {
         return Err(ProfileError::WrongExit { got: native.exit_code, want: subject.expected });
     }
@@ -110,9 +112,12 @@ pub fn collect_subject(
     let config =
         CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
     let compressed = Compressor::new(config).compress(&subject.module)?;
-    let mut cmachine = subject.machine_compressed(&compressed);
-    let mut cfetch = CompressedFetcher::new(&compressed);
-    let creference = run(&mut cmachine, &mut cfetch, 0, max_steps)?;
+    let creference = run_predecoded(
+        &mut subject.machine_compressed(&compressed),
+        &mut PredecodedFetcher::new(&compressed),
+        0,
+        max_steps,
+    )?;
     if creference.exit_code != subject.expected {
         return Err(ProfileError::WrongExit { got: creference.exit_code, want: subject.expected });
     }

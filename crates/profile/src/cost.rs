@@ -4,8 +4,8 @@
 //! accesses to expand codewords, escape decoding, branching into a
 //! nibble-aligned stream — without quantifying them. This module assigns
 //! each fetch-path event a configurable cycle cost and adds I-cache miss
-//! penalties from replaying the run's program-memory reference trace
-//! through the `codense-cache` simulator:
+//! penalties from the `codense-cache` simulator, fed each program-memory
+//! reference as the predecoded VM makes it (no trace is recorded):
 //!
 //! ```text
 //! cycles = insns·native + escapes·escape + expanded·expand
@@ -15,10 +15,10 @@
 //! Every event count comes from a deterministic VM run, so scores are
 //! byte-stable across thread counts.
 
-use codense_cache::{Cache, CacheConfig, TracingFetch};
+use codense_cache::{Cache, CacheConfig};
 use codense_core::CompressedProgram;
 use codense_vm::kernels::Kernel;
-use codense_vm::{run, CompressedFetcher, LinearFetcher};
+use codense_vm::{run_predecoded_with, Machine, PredecodedFetcher};
 
 use crate::collect::ProfileError;
 use crate::subject::Subject;
@@ -83,31 +83,42 @@ pub struct Score {
     pub exit: u32,
 }
 
-/// Fetch-path event counts of one run, before costing.
-struct RunEvents {
-    insns: u64,
-    escapes: u64,
-    expanded: u64,
-    realigns: u64,
-}
-
-fn combine(params: &CostParams, ev: RunEvents, cache: &Cache, steps: u64, exit: u32) -> Score {
-    let stats = cache.stats();
-    Score {
-        cycles: ev.insns * params.native_cycles
-            + ev.escapes * params.escape_cycles
-            + ev.expanded * params.expand_cycles
-            + ev.realigns * params.realign_cycles
-            + stats.misses * params.miss_penalty,
-        insns: ev.insns,
-        escapes: ev.escapes,
-        expanded_insns: ev.expanded,
-        realigns: ev.realigns,
-        cache_accesses: stats.accesses,
-        cache_misses: stats.misses,
-        steps,
-        exit,
+/// Runs `fetch` to a checked halt, streaming every program-memory
+/// reference into a cache of the modeled geometry, and costs the run.
+/// `packed` marks a compressed image, whose every instruction is either
+/// expanded from a codeword or escaped; linear text has neither.
+fn score_run(
+    subject: &Subject,
+    mut machine: Machine,
+    mut fetch: PredecodedFetcher,
+    packed: bool,
+    params: &CostParams,
+    max_steps: u64,
+) -> Result<Score, ProfileError> {
+    let mut cache = Cache::new(params.cache);
+    let r = run_predecoded_with(&mut machine, &mut fetch, 0, max_steps, |pc, nibbles| {
+        cache.access_nibbles(pc, nibbles)
+    })?;
+    if r.exit_code != subject.expected {
+        return Err(ProfileError::WrongExit { got: r.exit_code, want: subject.expected });
     }
+    let (s, cache) = (r.stats, cache.finish());
+    let escapes = if packed { s.insns - s.expanded_insns } else { 0 };
+    Ok(Score {
+        cycles: s.insns * params.native_cycles
+            + escapes * params.escape_cycles
+            + s.expanded_insns * params.expand_cycles
+            + s.realigns * params.realign_cycles
+            + cache.misses * params.miss_penalty,
+        insns: s.insns,
+        escapes,
+        expanded_insns: s.expanded_insns,
+        realigns: s.realigns,
+        cache_accesses: cache.accesses,
+        cache_misses: cache.misses,
+        steps: r.steps,
+        exit: r.exit_code,
+    })
 }
 
 /// Scores the uncompressed run of a kernel under the cost model.
@@ -135,16 +146,8 @@ pub fn score_native_subject(
     params: &CostParams,
     max_steps: u64,
 ) -> Result<Score, ProfileError> {
-    let mut machine = subject.machine_native();
-    let mut fetch = TracingFetch::new(LinearFetcher::new(subject.module.code.clone()));
-    let result = run(&mut machine, &mut fetch, 0, max_steps)?;
-    if result.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });
-    }
-    let mut cache = Cache::new(params.cache);
-    fetch.replay(&mut cache);
-    let ev = RunEvents { insns: result.stats.insns, escapes: 0, expanded: 0, realigns: 0 };
-    Ok(combine(params, ev, &cache, result.steps, result.exit_code))
+    let fetch = PredecodedFetcher::linear(subject.module.code.clone());
+    score_run(subject, subject.machine_native(), fetch, false, params, max_steps)
 }
 
 /// Scores the run of a (possibly hybrid) compressed image under the cost
@@ -177,22 +180,8 @@ pub fn score_compressed_subject(
     params: &CostParams,
     max_steps: u64,
 ) -> Result<Score, ProfileError> {
-    let mut machine = subject.machine_compressed(program);
-    let mut fetch = TracingFetch::new(CompressedFetcher::new(program));
-    let result = run(&mut machine, &mut fetch, 0, max_steps)?;
-    if result.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: result.exit_code, want: subject.expected });
-    }
-    let mut cache = Cache::new(params.cache);
-    fetch.replay(&mut cache);
-    let stats = result.stats;
-    let ev = RunEvents {
-        insns: stats.insns,
-        escapes: stats.insns - stats.expanded_insns,
-        expanded: stats.expanded_insns,
-        realigns: stats.realigns,
-    };
-    Ok(combine(params, ev, &cache, result.steps, result.exit_code))
+    let machine = subject.machine_compressed(program);
+    score_run(subject, machine, PredecodedFetcher::new(program), true, params, max_steps)
 }
 
 #[cfg(test)]

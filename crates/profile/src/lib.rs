@@ -8,8 +8,8 @@
 //! `codense hybrid-sweep`:
 //!
 //! * [`collect`] — the execution profiler: runs a benchmark natively under
-//!   the VM's tracing hook and records per-instruction and per-basic-block
-//!   execution counts, plus the fetch-path event counts (escape decodes,
+//!   the predecoded VM's per-step observer and records per-instruction and
+//!   per-basic-block execution counts, plus the fetch-path event counts (escape decodes,
 //!   codeword expansions, nibble-PC realignments) of a reference compressed
 //!   run. The result is a deterministic [`Profile`] artifact rendered as
 //!   schema-1 sorted-key JSON ([`render_profiles_json`]).
@@ -20,8 +20,9 @@
 //!   uncompressed and counts occurrences only in cold code.
 //! * [`cost`] — the cycle-level fetch performance model: configurable
 //!   per-event costs ([`CostParams`]) over the VM's fetch statistics plus
-//!   the `codense-cache` I-cache simulator, scoring any image against a
-//!   run ([`score_native`], [`score_compressed`]).
+//!   the `codense-cache` I-cache simulator, fed as the program runs,
+//!   scoring any image against a run ([`score_native`],
+//!   [`score_compressed`]).
 //!
 //! [`hybrid_sweep`] sweeps the hotness-coverage knob across the [`bench`]
 //! suite (each runnable kernel extended with a large never-executed cold

@@ -21,6 +21,9 @@
 //! model and `BENCH_hybrid.json` stay valid. [`crate::run::run_predecoded`]
 //! drives it with a threaded dispatch loop that also hoists instruction
 //! *decode* out of the step cycle (see [`codense_isa::PredecodeCore`]).
+//! [`PredecodedFetcher::linear`] puts uncompressed text behind the same
+//! cache (whole words at 8-nibble steps, byte-exact with
+//! [`LinearFetcher`]), so one loop runs both fetch domains.
 //!
 //! Fetch engines deliver raw instruction *words* — decode belongs to the
 //! target core ([`codense_isa::Core::step_word`]), which keeps the fetch
@@ -97,6 +100,12 @@ pub trait Fetch {
 
     /// Fetch counters so far.
     fn stats(&self) -> FetchStats;
+}
+
+/// A program's dictionary entries by codeword rank.
+fn by_rank(program: &CompressedProgram) -> Vec<Vec<u32>> {
+    let d = &program.dictionary;
+    (0..d.len() as u32).map(|rank| d.entry(d.entry_of_rank(rank)).words.clone()).collect()
 }
 
 /// The conventional fetch path over an uncompressed text image.
@@ -183,16 +192,11 @@ impl CompressedFetcher {
     /// the byte image exactly as hardware would). The program's ISA is used
     /// for escape detection.
     pub fn new(program: &CompressedProgram) -> CompressedFetcher {
-        let mut by_rank = vec![Vec::new(); program.dictionary.len()];
-        for rank in 0..program.dictionary.len() as u32 {
-            let entry = program.dictionary.entry_of_rank(rank);
-            by_rank[rank as usize] = program.dictionary.entry(entry).words.clone();
-        }
         CompressedFetcher {
             image: program.image.clone(),
             encoding: program.encoding,
             isa: program.isa,
-            by_rank,
+            by_rank: by_rank(program),
             huffman: program.huffman.clone(),
             buffer: Vec::new(),
             buffer_pos: 0,
@@ -424,6 +428,9 @@ pub(crate) struct RunCounters {
 /// predecoded engine never re-touches the dictionary).
 #[derive(Debug, Clone)]
 pub struct PredecodedFetcher {
+    /// Linear mode ([`Self::linear`]): `image` is raw big-endian text and
+    /// every item is one whole word; the packed-stream fields are unused.
+    linear: bool,
     image: Vec<u8>,
     encoding: codense_core::EncodingKind,
     isa: IsaRef,
@@ -458,17 +465,12 @@ impl PredecodedFetcher {
     /// Builds the engine from a compressed program. Parsing state matches
     /// [`CompressedFetcher::new`]; the cache starts empty and unbounded.
     pub fn new(program: &CompressedProgram) -> PredecodedFetcher {
-        let mut by_rank = vec![Vec::new(); program.dictionary.len()];
-        for rank in 0..program.dictionary.len() as u32 {
-            let entry = program.dictionary.entry_of_rank(rank);
-            by_rank[rank as usize] = program.dictionary.entry(entry).words.clone();
-        }
         PredecodedFetcher::from_parts(
             program.image.clone(),
             program.encoding,
             program.isa,
             program.huffman.clone(),
-            by_rank,
+            by_rank(program),
         )
     }
 
@@ -488,6 +490,21 @@ impl PredecodedFetcher {
         )
     }
 
+    /// Builds the engine over uncompressed text: the predecoded counterpart
+    /// of [`LinearFetcher::new`] (instruction `i` at nibble address `8 * i`,
+    /// granule 8). Fetches, faults, [`FetchStats`] and telemetry
+    /// (`vm.fetch.linear_insns`, 8 nibbles per instruction, no realigns)
+    /// match [`LinearFetcher`].
+    pub fn linear(code: Vec<u32>) -> PredecodedFetcher {
+        let image = code.iter().flat_map(|w| w.to_be_bytes()).collect();
+        // Linear mode never parses: the stream parameters are placeholders.
+        let (encoding, isa) = (codense_core::EncodingKind::Baseline, IsaRef(&codense_ppc::ISA));
+        PredecodedFetcher {
+            linear: true,
+            ..Self::from_parts(image, encoding, isa, None, Vec::new())
+        }
+    }
+
     fn from_parts(
         image: Vec<u8>,
         encoding: codense_core::EncodingKind,
@@ -497,6 +514,7 @@ impl PredecodedFetcher {
     ) -> PredecodedFetcher {
         let nibbles = image.len() * 2;
         PredecodedFetcher {
+            linear: false,
             image,
             encoding,
             isa,
@@ -559,27 +577,6 @@ impl PredecodedFetcher {
         self.generation
     }
 
-    /// The cache entry for `pc`, parsing and filling on a miss.
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError::FetchFault`] if `pc` does not address a parseable
-    /// item; the fault is not cached.
-    pub(crate) fn lookup_or_fill(&mut self, pc: u64) -> Result<u32, MachineError> {
-        match self.entries.get(pc as usize) {
-            Some(0) => self.fill(pc),
-            Some(&e) => Ok(e),
-            None => Err(MachineError::FetchFault { pc }),
-        }
-    }
-
-    /// The `(tag, consumed, len, start)` of a table entry, chasing side
-    /// indirections.
-    #[inline(always)]
-    pub(crate) fn resolve(&self, e: u32) -> (u64, u64, usize, usize) {
-        unpack_entry(e, &self.side)
-    }
-
     #[cold]
     fn fill(&mut self, pc: u64) -> Result<u32, MachineError> {
         let (mut entries, mut side, mut pool) = self.take_storage();
@@ -624,26 +621,28 @@ impl PredecodedFetcher {
         side: &mut Vec<u64>,
         pool: &mut Vec<u32>,
     ) -> Result<u32, MachineError> {
-        let mut r = NibbleReader::new(&self.image);
-        r.seek(pc);
-        let before = r.pos();
-        let (tag, words) =
-            match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
-                Some(Item::Insn(word)) => (TAG_INSN, vec![word]),
-                Some(Item::Codeword(rank)) => {
-                    let seq = self
-                        .by_rank
-                        .get(rank as usize)
-                        .ok_or(MachineError::FetchFault { pc })?
-                        .clone();
-                    if seq.is_empty() {
-                        return Err(MachineError::FetchFault { pc });
-                    }
-                    (TAG_CODEWORD, seq)
+        let (item, consumed) = if self.linear {
+            let at = (pc / 2) as usize;
+            let word = self.image.get(at..at + 4).filter(|_| pc.is_multiple_of(8));
+            (word.map(|b| Item::Insn(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))), 8)
+        } else {
+            let mut r = NibbleReader::new(&self.image);
+            r.seek(pc);
+            let item = read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r);
+            (item, r.pos() - pc)
+        };
+        let (tag, words) = match item {
+            Some(Item::Insn(word)) => (TAG_INSN, vec![word]),
+            Some(Item::Codeword(rank)) => {
+                let seq =
+                    self.by_rank.get(rank as usize).ok_or(MachineError::FetchFault { pc })?.clone();
+                if seq.is_empty() {
+                    return Err(MachineError::FetchFault { pc });
                 }
-                None => return Err(MachineError::FetchFault { pc }),
-            };
-        let consumed = r.pos() - before;
+                (TAG_CODEWORD, seq)
+            }
+            None => return Err(MachineError::FetchFault { pc }),
+        };
         if self.filled >= self.capacity {
             // Wholesale eviction, on the detached storage.
             entries.fill(0);
@@ -678,16 +677,23 @@ impl PredecodedFetcher {
     ) {
         self.stats.insns += c.insns;
         self.stats.nibbles_fetched += c.nibbles;
-        self.stats.codewords += c.codewords;
-        self.stats.expanded_insns += c.expanded;
-        self.stats.realigns += c.realigns;
-        // Every delivered instruction is either an escaped one or an
-        // expansion word, so the escape count needs no counter of its own.
-        telemetry::VM_FETCH_ESCAPES.add(c.insns - c.expanded);
-        telemetry::VM_FETCH_CODEWORDS.add(c.codewords);
-        telemetry::VM_FETCH_BUFFERED_INSNS.add(c.expanded);
         telemetry::VM_FETCH_NIBBLES.add(c.nibbles);
-        telemetry::VM_FETCH_REALIGNS.add(c.realigns);
+        if self.linear {
+            // Word-granular text never realigns: its one unaligned PC is
+            // the fetch that faulted.
+            telemetry::VM_FETCH_LINEAR_INSNS.add(c.insns);
+        } else {
+            self.stats.codewords += c.codewords;
+            self.stats.expanded_insns += c.expanded;
+            self.stats.realigns += c.realigns;
+            // Every delivered instruction is either an escaped one or an
+            // expansion word, so the escape count needs no counter of its
+            // own.
+            telemetry::VM_FETCH_ESCAPES.add(c.insns - c.expanded);
+            telemetry::VM_FETCH_CODEWORDS.add(c.codewords);
+            telemetry::VM_FETCH_BUFFERED_INSNS.add(c.expanded);
+            telemetry::VM_FETCH_REALIGNS.add(c.realigns);
+        }
         self.expect_pc = expect_pc;
         (self.drain_start, self.drain_len, self.drain_pos, self.buffer_pc, self.after_buffer) =
             drain;
@@ -708,20 +714,28 @@ impl PredecodedFetcher {
 
 impl Fetch for PredecodedFetcher {
     fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
-        if pc != self.expect_pc && !pc.is_multiple_of(8) {
+        if pc != self.expect_pc && !pc.is_multiple_of(8) && !self.linear {
             self.stats.realigns += 1;
             telemetry::VM_FETCH_REALIGNS.inc();
         }
         if pc == self.buffer_pc && self.drain_pos < self.drain_len {
             return Ok(self.deliver_pooled());
         }
-        let e = self.lookup_or_fill(pc)?;
-        let (tag, consumed, len, start) = self.resolve(e);
+        let e = match self.entries.get(pc as usize) {
+            Some(0) => self.fill(pc)?,
+            Some(&e) => e,
+            None => return Err(MachineError::FetchFault { pc }),
+        };
+        let (tag, consumed, len, start) = unpack_entry(e, &self.side);
         self.stats.nibbles_fetched += consumed;
         telemetry::VM_FETCH_NIBBLES.add(consumed);
         if tag == TAG_INSN {
             self.stats.insns += 1;
-            telemetry::VM_FETCH_ESCAPES.inc();
+            if self.linear {
+                telemetry::VM_FETCH_LINEAR_INSNS.inc();
+            } else {
+                telemetry::VM_FETCH_ESCAPES.inc();
+            }
             self.buffer_pc = u64::MAX;
             self.expect_pc = pc + consumed;
             Ok(Fetched { word: self.pool[start], next_pc: pc + consumed })
@@ -738,7 +752,11 @@ impl Fetch for PredecodedFetcher {
     }
 
     fn granule(&self) -> u32 {
-        self.encoding.granule_nibbles()
+        if self.linear {
+            8
+        } else {
+            self.encoding.granule_nibbles()
+        }
     }
 
     fn stats(&self) -> FetchStats {

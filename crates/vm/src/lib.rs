@@ -15,7 +15,9 @@
 //! Because the machine's PC domain is nibble addresses in both cases, the
 //! *same* execution loop ([`run::run`]) runs both program forms; the
 //! [`kernels`] module supplies real programs to prove equivalence
-//! end-to-end.
+//! end-to-end. [`fetch::PredecodedFetcher`] caches parsed items for either
+//! form, and [`run::run_predecoded_with`] — the production loop — executes
+//! them with a per-step observer for profiling and I-cache scoring.
 //!
 //! # Example
 //!
@@ -42,4 +44,4 @@ pub mod run;
 
 pub use fetch::{CompressedFetcher, Fetch, FetchStats, LinearFetcher, PredecodedFetcher};
 pub use machine::{Core, Machine, MachineError, Outcome};
-pub use run::{run, run_predecoded, run_traced, RunResult};
+pub use run::{run, run_predecoded, run_predecoded_with, RunResult};

@@ -1,6 +1,13 @@
 //! The execution loops gluing a [`Core`] to a fetch engine: the generic
 //! per-step loop ([`run`]) and the predecoded threaded-dispatch loop
 //! ([`run_predecoded`]) that makes SPEC-scale corpus programs runnable.
+//!
+//! The predecoded loop is the production engine for both fetch domains
+//! ([`PredecodedFetcher::linear`] for uncompressed text). Profiling and
+//! cycle scoring watch it through [`run_predecoded_with`]'s per-step
+//! observer, which sees each executed instruction's PC and the program
+//! memory it consumed; [`run`] remains for the re-parsing reference
+//! engines.
 
 use crate::fetch::{Fetch, FetchStats, PredecodedFetcher, RunCounters};
 use crate::machine::{Core, MachineError, Outcome};
@@ -32,39 +39,6 @@ pub fn run(
     let mut pc = entry;
     for step in 0..max_steps {
         let fetched = fetch.fetch(pc)?;
-        match core.step_word(fetched.word, pc, fetched.next_pc, fetch.granule())? {
-            Outcome::Next => pc = fetched.next_pc,
-            Outcome::Branch(target) => pc = target,
-            Outcome::Halt => {
-                return Ok(RunResult {
-                    exit_code: core.exit_code(),
-                    steps: step + 1,
-                    stats: fetch.stats(),
-                })
-            }
-        }
-    }
-    Err(MachineError::StepLimit)
-}
-
-/// Like [`run`], invoking `observer` before each executed instruction with
-/// `(pc, word)` — the debugging/tracing hook (`codense-cache`'s
-/// `TracingFetch` is the memory-reference counterpart).
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced(
-    core: &mut dyn Core,
-    fetch: &mut dyn Fetch,
-    entry: u64,
-    max_steps: u64,
-    mut observer: impl FnMut(u64, u32),
-) -> Result<RunResult, MachineError> {
-    let mut pc = entry;
-    for step in 0..max_steps {
-        let fetched = fetch.fetch(pc)?;
-        observer(pc, fetched.word);
         match core.step_word(fetched.word, pc, fetched.next_pc, fetch.granule())? {
             Outcome::Next => pc = fetched.next_pc,
             Outcome::Branch(target) => pc = target,
@@ -112,6 +86,26 @@ pub fn run_predecoded<C: PredecodeCore>(
     entry: u64,
     max_steps: u64,
 ) -> Result<RunResult, MachineError> {
+    run_predecoded_with(core, fetch, entry, max_steps, |_, _| {})
+}
+
+/// [`run_predecoded`] with a per-step observer: `observe(pc, nibbles)` runs
+/// once for every fetched instruction, before it executes, with the
+/// program-memory nibbles its fetch consumed — 0 for instructions drained
+/// from an expansion. These are exactly the references the per-fetch
+/// engines make, so a profiler or an I-cache model can consume the run as
+/// it happens. A no-op observer compiles away.
+///
+/// # Errors
+///
+/// As [`run_predecoded`]. A step whose fetch faults is not observed.
+pub fn run_predecoded_with<C: PredecodeCore>(
+    core: &mut C,
+    fetch: &mut PredecodedFetcher,
+    entry: u64,
+    max_steps: u64,
+    mut observe: impl FnMut(u64, u64),
+) -> Result<RunResult, MachineError> {
     use crate::fetch::TAG_INSN;
 
     let granule = fetch.granule();
@@ -139,13 +133,14 @@ pub fn run_predecoded<C: PredecodeCore>(
                 c.realigns += 1;
             }
             let insn: &C::Insn;
-            let next_pc;
+            let (next_pc, nibbles);
             if pc == dpc && dpos < dlen {
                 // Sequential flow inside an expanded codeword: replay the
                 // decoded pool directly.
                 insn = &decoded[dstart + dpos];
                 dpos += 1;
                 next_pc = if dpos < dlen { dpc } else { dafter };
+                nibbles = 0;
                 c.expanded += 1;
             } else {
                 let e = match entries.get(pc as usize) {
@@ -185,6 +180,7 @@ pub fn run_predecoded<C: PredecodeCore>(
                     }
                 }
                 c.nibbles += consumed;
+                nibbles = consumed;
                 if tag == TAG_INSN {
                     dpc = u64::MAX;
                     next_pc = pc + consumed;
@@ -197,6 +193,7 @@ pub fn run_predecoded<C: PredecodeCore>(
                 }
                 insn = &decoded[start];
             }
+            observe(pc, nibbles);
             expect_pc = next_pc;
             match core.step_insn(insn, pc, next_pc, granule) {
                 Ok(Outcome::Next) => pc = next_pc,
@@ -243,23 +240,34 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_sees_every_step() {
-        let mut a = Assembler::new();
-        a.emit(Insn::Addi { rt: R3, ra: R0, si: 1 });
-        a.emit(Insn::Addi { rt: R3, ra: R3, si: 2 });
-        a.emit(Insn::Sc);
-        let code = a.finish().unwrap();
-        let mut machine = Machine::new(4096);
-        let mut fetch = LinearFetcher::new(code);
-        let mut trace = Vec::new();
-        let result = super::run_traced(&mut machine, &mut fetch, 0, 100, |pc, word| {
-            trace.push((pc, word));
-        })
-        .unwrap();
-        assert_eq!(result.steps, 3);
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].0, 0);
-        assert_eq!(codense_ppc::decode(trace[2].1), Insn::Sc);
+    fn observer_sees_every_step() {
+        let mut m = codense_obj::ObjectModule::new("t");
+        for _ in 0..10 {
+            m.code.push(codense_ppc::encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
+            m.code.push(codense_ppc::encode(&Insn::Addi { rt: R4, ra: R4, si: 2 }));
+        }
+        m.code.push(codense_ppc::encode(&Insn::Sc));
+        let c = codense_core::Compressor::new(codense_core::CompressionConfig::nibble_aligned())
+            .compress(&m)
+            .unwrap();
+        let observe = |mut fetch: PredecodedFetcher| {
+            let mut trace = Vec::new();
+            let r = run_predecoded_with(&mut Machine::new(4096), &mut fetch, 0, 100, |pc, n| {
+                trace.push((pc, n))
+            })
+            .unwrap();
+            assert_eq!((r.exit_code, r.steps), (10, 21));
+            (trace, r.stats)
+        };
+        let (trace, _) = observe(PredecodedFetcher::linear(m.code.clone()));
+        assert_eq!(trace, (0..21).map(|i| (8 * i, 8)).collect::<Vec<_>>());
+        let (trace, stats) = observe(PredecodedFetcher::new(&c));
+        assert_eq!((trace.len(), trace[0].0), (21, 0));
+        assert_eq!(trace.iter().map(|t| t.1).sum::<u64>(), stats.nibbles_fetched);
+        // An expansion reads memory once; its other instructions drain the
+        // buffer for free.
+        let drained = trace.iter().filter(|t| t.1 == 0).count() as u64;
+        assert_eq!(drained, stats.expanded_insns - stats.codewords);
     }
 
     #[test]

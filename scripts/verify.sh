@@ -74,6 +74,26 @@ diff -u "$tmp/profile-1.json" "$tmp/profile-8.json"
 diff -u "$tmp/hybrid-1.counters" "$tmp/hybrid-8.counters"
 diff -u "$tmp/hybrid-1.out" "$tmp/hybrid-8.out"
 
+echo "==> hybrid sweep gate (BENCH_hybrid.json byte for byte; corpus sweep --jobs 1 vs --jobs 8)"
+# The cycle model is deterministic, so the checked-in frontier must
+# reproduce exactly; any drift in profiling, hybrid compression or the
+# streamed I-cache scoring shows up as a diff here.
+./target/release/codense hybrid-sweep --out "$tmp/BENCH_hybrid.json" >/dev/null
+diff -u BENCH_hybrid.json "$tmp/BENCH_hybrid.json"
+# A 10K-insn corpus subject joins the sweep; its report, artifact and
+# counters must not depend on --jobs. Each run writes into its own
+# directory so the report's artifact path reads the same.
+codense="$PWD/target/release/codense"
+for j in 1 8; do
+    mkdir "$tmp/sweep-$j"
+    (cd "$tmp/sweep-$j" && "$codense" --jobs "$j" --metrics sweep.metrics.json \
+        hybrid-sweep --corpus 10000 --out sweep.json > sweep.out)
+    sed -n '/"counters"/,/}/p' "$tmp/sweep-$j/sweep.metrics.json" > "$tmp/sweep-$j/sweep.counters"
+done
+for f in sweep.json sweep.out sweep.counters; do
+    diff -u "$tmp/sweep-1/$f" "$tmp/sweep-8/$f"
+done
+
 echo "==> serve smoke (loadgen -c 1, zero failures, counters --jobs 1 vs --jobs 8)"
 for j in 1 8; do
     log="$tmp/serve-$j.log"
