@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use codense_bench::{black_box, Harness};
 use codense_core::{CompressionConfig, Compressor};
 use codense_obj::ObjectModule;
-use codense_vm::{fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher};
+use codense_vm::{kernels, machine::Machine, run_predecoded, PredecodedFetcher};
 
 fn module() -> &'static ObjectModule {
     static M: OnceLock<ObjectModule> = OnceLock::new();
@@ -29,8 +29,8 @@ fn main() {
     let compressed = Compressor::new(CompressionConfig::nibble_aligned()).compress(m).unwrap();
     h.bench("expand_throughput/logical_expand", || black_box(compressed.expand()));
     h.bench("expand_throughput/fetch_path_walk", || {
-        // Walk the packed image through the hardware-model fetch path.
-        let mut fetch = CompressedFetcher::new(&compressed);
+        // Walk the packed image through the fetch path from a cold cache.
+        let mut fetch = PredecodedFetcher::new(&compressed);
         let mut pc = 0u64;
         let mut n = 0usize;
         use codense_vm::Fetch;
@@ -59,14 +59,14 @@ fn main() {
     h.bench("execution/uncompressed", || {
         let mut machine = Machine::new(1 << 20);
         kernel.apply_init(&mut machine);
-        let mut fetch = LinearFetcher::new(kernel.module.code.clone());
-        black_box(run(&mut machine, &mut fetch, 0, 10_000_000).unwrap())
+        let mut fetch = PredecodedFetcher::linear(kernel.module.code.clone());
+        black_box(run_predecoded(&mut machine, &mut fetch, 0, 10_000_000).unwrap())
     });
     h.bench("execution/compressed_nibble", || {
         let mut machine = Machine::new(1 << 20);
         kernel.apply_init(&mut machine);
-        let mut fetch = CompressedFetcher::new(&kc);
-        black_box(run(&mut machine, &mut fetch, 0, 10_000_000).unwrap())
+        let mut fetch = PredecodedFetcher::new(&kc);
+        black_box(run_predecoded(&mut machine, &mut fetch, 0, 10_000_000).unwrap())
     });
 
     h.bench("codegen/generate_compress_benchmark", || {

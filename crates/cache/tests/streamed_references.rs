@@ -9,7 +9,8 @@ mod tracing;
 use codense_cache::{Cache, CacheConfig};
 use codense_core::{CompressionConfig, Compressor};
 use codense_vm::kernels::{self, Kernel};
-use codense_vm::{run, run_predecoded_with, CompressedFetcher, LinearFetcher, Machine};
+use codense_vm::reference::{run, CompressedFetcher, LinearFetcher};
+use codense_vm::{run_predecoded_with, Machine};
 use codense_vm::{Fetch, PredecodedFetcher};
 use tracing::{FetchRef, SpecCache, TracingFetch};
 

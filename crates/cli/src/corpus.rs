@@ -7,8 +7,7 @@ use std::time::Instant;
 
 use codense_core::{verify::verify, CompressedProgram, CompressionConfig, Compressor};
 use codense_corpus::{build, CorpusIsa, CorpusProgram, CorpusSpec};
-use codense_isa::Core;
-use codense_vm::{run, run_predecoded, CompressedFetcher, PredecodedFetcher};
+use codense_vm::{reference, PredecodedFetcher};
 
 use crate::{flag_value, insns_per_sec, parse_seed, CliResult, ReproRow, REPRO_ENCODINGS};
 
@@ -173,25 +172,10 @@ impl ScalePoint {
     }
 }
 
-/// Seeds a concrete machine's jump tables with a compressed image's patched
-/// values (what `CorpusProgram::compressed_core` does for `dyn Core`; the
-/// predecoded run needs the concrete machine type).
-fn seed_compressed_tables<M: Core>(
-    m: &mut M,
-    p: &CorpusProgram,
-    c: &CompressedProgram,
-) -> Result<(), String> {
-    for (t, table) in c.jump_tables.iter().enumerate() {
-        for (e, &target) in table.iter().enumerate() {
-            m.write32(p.table_addrs[t] + 4 * e as u32, target as u32).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(())
-}
-
-/// Times the reparse (`CompressedFetcher`) and predecoded
-/// (`PredecodedFetcher`) VM paths over full runs of `p` under image `c`,
-/// best of `trials`, returning `(reparse, predecoded)` insns/sec.
+/// Times the reference reparse engine (`reference::CompressedFetcher`
+/// under `reference::run`) and the production predecoded engine over full
+/// runs of `p` under image `c`, best of `trials`, returning
+/// `(reparse, predecoded)` insns/sec.
 fn vm_trials(
     p: &CorpusProgram,
     c: &CompressedProgram,
@@ -202,33 +186,23 @@ fn vm_trials(
     for _ in 0..trials {
         let t0 = Instant::now();
         let mut core = p.compressed_core(c).map_err(|e| e.to_string())?;
-        let mut fetch = CompressedFetcher::new(c);
-        let r = run(core.as_mut(), &mut fetch, 0, u64::MAX).map_err(|e| e.to_string())?;
+        let mut fetch = reference::CompressedFetcher::new(c);
+        let r =
+            reference::run(core.as_mut(), &mut fetch, 0, u64::MAX).map_err(|e| e.to_string())?;
         let reparse = ips_of(r.steps, t0.elapsed());
         if r.exit_code != p.stats.exit_code {
             return Err(format!("{name}: reparse run exited {:#x}", r.exit_code));
         }
 
         let t0 = Instant::now();
-        let (steps, exit) = match p.isa {
-            CorpusIsa::Ppc => {
-                let mut m = codense_ppc::machine::Machine::new(codense_corpus::MEM_BYTES);
-                seed_compressed_tables(&mut m, p, c)?;
-                let mut pf = PredecodedFetcher::new(c);
-                let r = run_predecoded(&mut m, &mut pf, 0, u64::MAX).map_err(|e| e.to_string())?;
-                (r.steps, r.exit_code)
-            }
-            CorpusIsa::Mips => {
-                let mut m = codense_mips::Machine::new(codense_corpus::MEM_BYTES);
-                seed_compressed_tables(&mut m, p, c)?;
-                let mut pf = PredecodedFetcher::new(c);
-                let r = run_predecoded(&mut m, &mut pf, 0, u64::MAX).map_err(|e| e.to_string())?;
-                (r.steps, r.exit_code)
-            }
-        };
-        let predecoded = ips_of(steps, t0.elapsed());
-        if exit != p.stats.exit_code {
-            return Err(format!("{name}: predecoded run exited {exit:#x}"));
+        let mut fetch = PredecodedFetcher::new(c);
+        let r = p
+            .isa
+            .run_predecoded(&mut fetch, |core| p.seed_compressed_tables(core, c), u64::MAX)
+            .map_err(|e| e.to_string())?;
+        let predecoded = ips_of(r.steps, t0.elapsed());
+        if r.exit_code != p.stats.exit_code {
+            return Err(format!("{name}: predecoded run exited {:#x}", r.exit_code));
         }
         best = (best.0.max(reparse), best.1.max(predecoded));
     }

@@ -273,9 +273,10 @@ injects the binary container formats; failures print a reproducer case
 seed and a shrunk minimal program weight. Exit status 1 on any divergence
 or panic. --hybrid additionally derives a random block-aligned hotness
 mask per case and fuzzes hybrid (partially compressed) images the same
-way. --isa mips runs the MIPS half of the cross-ISA battery: the same
-campaign-seed stream drives a MIPS program generator through the same
-lockstep oracle (fault injection and --hybrid are PPC-only).
+way. --isa mips runs the same campaign on MIPS: the same campaign-seed
+stream drives a MIPS program generator through the same lockstep oracle,
+fault batteries and --hybrid images (failures are reported unshrunk:
+shrinking is PPC-only).
 
 asm syntax: one instruction per line (the disasm output syntax), `label:`
 definitions, `label` usable as any branch target, `#` comments. --isa
@@ -1256,12 +1257,8 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         opts.fault_tries = v.parse().map_err(|_| "bad --fault-tries")?;
     }
     opts.hybrid = args.iter().any(|a| a == "--hybrid");
-    let isa = parse_isa(args)?;
-    if isa == "mips" && opts.hybrid {
-        return Err("fuzz: --hybrid is not supported with --isa mips".into());
-    }
-    let report =
-        if isa == "mips" { codense_fuzz::run_mips(&opts) } else { codense_fuzz::run(&opts) };
+    opts.isa = isa_ref(parse_isa(args)?);
+    let report = codense_fuzz::run(&opts);
     println!("{}", report.render());
     if report.ok() {
         Ok(())
@@ -1281,9 +1278,7 @@ fn parse_seed(v: &str) -> Result<u64, String> {
 }
 
 fn cmd_run_kernel(args: &[String]) -> CliResult {
-    use codense_vm::{
-        fetch::CompressedFetcher, kernels, machine::Machine, run::run, LinearFetcher,
-    };
+    use codense_vm::{kernels, machine::Machine, run_predecoded, PredecodedFetcher};
     let name = args.first().ok_or("run-kernel: missing kernel name (try `list`)")?;
     let all = kernels::all();
     if name == "list" {
@@ -1301,16 +1296,16 @@ fn cmd_run_kernel(args: &[String]) -> CliResult {
     let mut machine = Machine::new(1 << 20);
     kernel.apply_init(&mut machine);
     let result = if encoding == "none" {
-        let mut fetch = LinearFetcher::new(kernel.module.code.clone());
-        run(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
+        let mut fetch = PredecodedFetcher::linear(kernel.module.code.clone());
+        run_predecoded(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
     } else {
         let kind = parse_encoding(encoding)?;
         let config =
             CompressionConfig { max_entry_len: 4, max_codewords: kind.capacity(), encoding: kind };
         let compressed =
             Compressor::new(config).compress(&kernel.module).map_err(|e| e.to_string())?;
-        let mut fetch = CompressedFetcher::new(&compressed);
-        run(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
+        let mut fetch = PredecodedFetcher::new(&compressed);
+        run_predecoded(&mut machine, &mut fetch, 0, 100_000_000).map_err(|e| e.to_string())?
     };
     println!(
         "{name}: exit {} (expected {}), {} steps, {:.2} bits/insn fetched",

@@ -153,9 +153,15 @@ fn fuzz_mips_smoke_is_clean() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("isa=mips"), "{text}");
     assert!(text.contains("result: OK (3 cases, 0 divergences, 0 panics)"), "{text}");
-    // Fault injection is PPC-only; the flag combination must be refused.
-    let out = bin().args(["fuzz", "--isa", "mips", "--hybrid"]).output().unwrap();
-    assert!(!out.status.success());
+    assert!(text.contains("panics=0"), "{text}");
+    // MIPS campaigns get the same hybrid battery as PPC ones.
+    let out = bin()
+        .args(["fuzz", "--isa", "mips", "--hybrid", "--cases", "2", "--seed", "9"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("hybrid nibble: completed=2"), "{text}");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use codense_codegen::ir::*;
 use codense_codegen::lower::{lower_program_with, LowerOptions};
 use codense_codegen::{build_program, spec_profiles};
 use codense_ppc::{decode, Insn};
-use codense_vm::{machine::Machine, run::run, LinearFetcher};
+use codense_vm::{machine::Machine, run_predecoded, PredecodedFetcher};
 
 /// The synthetic `.data` base the lowering uses for globals (see lower.rs).
 const GLOBAL_BASE: u32 = 0x0040_0000;
@@ -27,8 +27,8 @@ fn execute(module: &codense_obj::ObjectModule, args: &[u32]) -> Machine {
     for (i, &v) in args.iter().enumerate() {
         machine.gpr[3 + i] = v;
     }
-    let mut fetch = LinearFetcher::new(code);
-    run(&mut machine, &mut fetch, 8 * module.functions[0].start as u64, 1_000_000)
+    let mut fetch = PredecodedFetcher::linear(code);
+    run_predecoded(&mut machine, &mut fetch, 8 * module.functions[0].start as u64, 1_000_000)
         .expect("lowered function runs to completion");
     machine
 }

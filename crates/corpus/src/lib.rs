@@ -43,9 +43,9 @@ use codense_codegen::lower::lower_program_with;
 use codense_codegen::lower_mips::lower_program_mips_with;
 use codense_codegen::{LowerOptions, Rng};
 use codense_core::CompressedProgram;
-use codense_isa::{Core, IsaRef, MachineError};
+use codense_isa::{Core, IsaRef, MachineError, PredecodeCore};
 use codense_obj::ObjectModule;
-use codense_vm::{run, LinearFetcher, RunResult};
+use codense_vm::{run_predecoded, PredecodedFetcher, RunResult};
 
 /// Data-memory size every corpus program runs with: 8 MiB covers the global
 /// area at `0x0040_0000`, the jump tables at [`TABLE_BASE`], and the stack
@@ -89,6 +89,39 @@ impl CorpusIsa {
         match self {
             CorpusIsa::Ppc => IsaRef(&codense_ppc::ISA),
             CorpusIsa::Mips => IsaRef(&codense_mips::ISA),
+        }
+    }
+
+    /// Runs `fetch` from PC 0 to halt on the predecoded engine, on a fresh
+    /// core of this ISA with [`MEM_BYTES`] of data memory that `seed` has
+    /// prepared (jump tables). The one place a corpus ISA picks its
+    /// concrete core type, which the threaded-dispatch loop is
+    /// monomorphized over.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `seed` or the run raises ([`MachineError::StepLimit`] past
+    /// `max_steps`).
+    pub fn run_predecoded(
+        self,
+        fetch: &mut PredecodedFetcher,
+        seed: impl FnOnce(&mut dyn Core) -> Result<(), MachineError>,
+        max_steps: u64,
+    ) -> Result<RunResult, MachineError> {
+        fn go<C: PredecodeCore>(
+            mut core: C,
+            fetch: &mut PredecodedFetcher,
+            seed: impl FnOnce(&mut dyn Core) -> Result<(), MachineError>,
+            max_steps: u64,
+        ) -> Result<RunResult, MachineError> {
+            seed(&mut core)?;
+            run_predecoded(&mut core, fetch, 0, max_steps)
+        }
+        match self {
+            CorpusIsa::Ppc => {
+                go(codense_ppc::machine::Machine::new(MEM_BYTES), fetch, seed, max_steps)
+            }
+            CorpusIsa::Mips => go(codense_mips::Machine::new(MEM_BYTES), fetch, seed, max_steps),
         }
     }
 
@@ -259,36 +292,39 @@ pub fn build(spec: &CorpusSpec, isa: CorpusIsa) -> Result<CorpusProgram, BuildEr
 }
 
 impl CorpusProgram {
-    /// A fresh machine for this program with the jump tables seeded for
-    /// *native* (word-granular) execution: entry *e* of table *t* holds the
-    /// fetch-domain address `8 × target`.
-    pub fn native_core(&self) -> Result<Box<dyn Core>, MachineError> {
-        let mut core = self.new_core();
-        for (t, table) in self.module.jump_tables.iter().enumerate() {
-            for (e, &target) in table.targets.iter().enumerate() {
-                core.write32(self.table_addrs[t] + 4 * e as u32, 8 * target as u32)?;
-            }
-        }
-        Ok(core)
-    }
-
-    /// A fresh machine with the jump tables seeded for *compressed*
-    /// execution: entries hold the compressed program's patched
-    /// (nibble-domain) table values.
-    pub fn compressed_core(
+    /// Writes the compressed image's patched (nibble-domain) jump-table
+    /// entries into `core`: the seeding for *compressed* execution.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::MemoryFault`] if a table lies outside the core's
+    /// memory.
+    pub fn seed_compressed_tables(
         &self,
+        core: &mut dyn Core,
         compressed: &CompressedProgram,
-    ) -> Result<Box<dyn Core>, MachineError> {
-        let mut core = self.new_core();
+    ) -> Result<(), MachineError> {
         for (t, table) in compressed.jump_tables.iter().enumerate() {
             for (e, &target) in table.iter().enumerate() {
                 core.write32(self.table_addrs[t] + 4 * e as u32, target as u32)?;
             }
         }
+        Ok(())
+    }
+
+    /// A fresh machine with the jump tables seeded for *compressed*
+    /// execution (see [`seed_compressed_tables`](Self::seed_compressed_tables)).
+    pub fn compressed_core(
+        &self,
+        compressed: &CompressedProgram,
+    ) -> Result<Box<dyn Core>, MachineError> {
+        let mut core = self.isa.isa_ref().new_core(MEM_BYTES);
+        self.seed_compressed_tables(core.as_mut(), compressed)?;
         Ok(core)
     }
 
-    /// Runs the program natively (linear fetch) to completion.
+    /// Runs the program natively (linear fetch) to completion. Native jump
+    /// tables hold the fetch-domain address `8 × target` of each entry.
     ///
     /// # Errors
     ///
@@ -296,9 +332,7 @@ impl CorpusProgram {
     /// cleanly; see [`CorpusStats::dynamic_insns`] for the step budget it
     /// needs).
     pub fn run_native(&self, max_steps: u64) -> Result<RunResult, MachineError> {
-        let mut core = self.native_core()?;
-        let mut fetch = LinearFetcher::new(self.module.code.clone());
-        run(core.as_mut(), &mut fetch, 0, max_steps)
+        run_module(&self.module, self.isa, max_steps)
     }
 
     /// GPR numbers that legitimately hold fetch-domain addresses under this
@@ -321,13 +355,6 @@ impl CorpusProgram {
     pub fn mem_mask_ranges(&self) -> Vec<std::ops::Range<usize>> {
         let tables = TABLE_BASE as usize..TABLE_BASE as usize + 64 * self.table_addrs.len();
         vec![tables, MEM_BYTES - STACK_MASK_BYTES..MEM_BYTES]
-    }
-
-    fn new_core(&self) -> Box<dyn Core> {
-        match self.isa {
-            CorpusIsa::Ppc => Box::new(codense_ppc::machine::Machine::new(MEM_BYTES)),
-            CorpusIsa::Mips => Box::new(codense_mips::Machine::new(MEM_BYTES)),
-        }
     }
 }
 
@@ -362,17 +389,15 @@ fn run_module(
     isa: CorpusIsa,
     max_steps: u64,
 ) -> Result<RunResult, MachineError> {
-    let mut core: Box<dyn Core> = match isa {
-        CorpusIsa::Ppc => Box::new(codense_ppc::machine::Machine::new(MEM_BYTES)),
-        CorpusIsa::Mips => Box::new(codense_mips::Machine::new(MEM_BYTES)),
-    };
-    for (t, table) in module.jump_tables.iter().enumerate() {
-        for (e, &target) in table.targets.iter().enumerate() {
-            core.write32(TABLE_BASE + 64 * t as u32 + 4 * e as u32, 8 * target as u32)?;
+    let seed_tables = |core: &mut dyn Core| {
+        for (t, table) in module.jump_tables.iter().enumerate() {
+            for (e, &target) in table.targets.iter().enumerate() {
+                core.write32(TABLE_BASE + 64 * t as u32 + 4 * e as u32, 8 * target as u32)?;
+            }
         }
-    }
-    let mut fetch = LinearFetcher::new(module.code.clone());
-    run(core.as_mut(), &mut fetch, 0, max_steps)
+        Ok(())
+    };
+    isa.run_predecoded(&mut PredecodedFetcher::linear(module.code.clone()), seed_tables, max_steps)
 }
 
 // ---- IR construction ------------------------------------------------------

@@ -3,7 +3,7 @@
 
 use codense_core::{CompressionConfig, Compressor};
 use codense_corpus::{build, CorpusIsa, CorpusSpec, MEM_BYTES};
-use codense_fuzz::{lockstep, lockstep_mips, LockstepOk, TraceMask};
+use codense_fuzz::{lockstep, LockstepOk, TraceMask};
 use codense_isa::IsaRef;
 
 fn spec() -> CorpusSpec {
@@ -19,13 +19,15 @@ fn encodings() -> [(&'static str, CompressionConfig); 4] {
     ]
 }
 
-#[test]
-fn corpus_lockstep_ppc_all_encodings() {
-    let p = build(&spec(), CorpusIsa::Ppc).expect("build");
+/// Every encoding of the `isa` corpus program completes in lockstep with
+/// its native run, step for step, with the recorded exit checksum.
+fn lockstep_all_encodings(isa: CorpusIsa) {
+    let p = build(&spec(), isa).expect("build");
     let mask =
         TraceMask { mem_skip: p.mem_mask_ranges(), ..TraceMask::skipping_gprs(p.mask_gprs()) };
     for (label, config) in encodings() {
-        let compressed = Compressor::new(config).compress(&p.module).expect(label);
+        let compressed =
+            Compressor::new(config).with_isa(isa.isa_ref()).compress(&p.module).expect(label);
         let ok = lockstep(
             &p.module,
             &compressed,
@@ -47,32 +49,13 @@ fn corpus_lockstep_ppc_all_encodings() {
 }
 
 #[test]
+fn corpus_lockstep_ppc_all_encodings() {
+    lockstep_all_encodings(CorpusIsa::Ppc);
+}
+
+#[test]
 fn corpus_lockstep_mips_all_encodings() {
-    let p = build(&spec(), CorpusIsa::Mips).expect("build");
-    let mask =
-        TraceMask { mem_skip: p.mem_mask_ranges(), ..TraceMask::skipping_gprs(p.mask_gprs()) };
-    for (label, config) in encodings() {
-        let compressed = Compressor::new(config)
-            .with_isa(IsaRef(&codense_mips::ISA))
-            .compress(&p.module)
-            .expect(label);
-        let ok = lockstep_mips(
-            &p.module,
-            &compressed,
-            &p.table_addrs,
-            &mask,
-            MEM_BYTES,
-            p.stats.dynamic_insns + 10,
-        )
-        .unwrap_or_else(|d| panic!("{label}: {d:?}"));
-        match ok {
-            LockstepOk::Completed { steps, exit } => {
-                assert_eq!(steps, p.stats.dynamic_insns, "{label}");
-                assert_eq!(exit, p.stats.exit_code, "{label}");
-            }
-            other => panic!("{label}: expected Completed, got {other:?}"),
-        }
-    }
+    lockstep_all_encodings(CorpusIsa::Mips);
 }
 
 /// The predecoded threaded-dispatch loop is observably identical to the
@@ -81,7 +64,8 @@ fn corpus_lockstep_mips_all_encodings() {
 /// engines run in the compressed fetch domain, so even link values agree).
 #[test]
 fn corpus_predecoded_matches_reparse_ppc() {
-    use codense_vm::{run, run_predecoded, CompressedFetcher, PredecodedFetcher};
+    use codense_vm::reference::{run, CompressedFetcher};
+    use codense_vm::{run_predecoded, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Ppc).expect("build");
     for (label, config) in encodings() {
@@ -108,7 +92,8 @@ fn corpus_predecoded_matches_reparse_ppc() {
 /// MIPS counterpart of [`corpus_predecoded_matches_reparse_ppc`].
 #[test]
 fn corpus_predecoded_matches_reparse_mips() {
-    use codense_vm::{run, run_predecoded, CompressedFetcher, PredecodedFetcher};
+    use codense_vm::reference::{run, CompressedFetcher};
+    use codense_vm::{run_predecoded, PredecodedFetcher};
 
     let p = build(&spec(), CorpusIsa::Mips).expect("build");
     for (label, config) in encodings() {

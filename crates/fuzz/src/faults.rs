@@ -2,13 +2,15 @@
 //!
 //! The contract under test is the *no-panic decoder policy*: feeding any
 //! byte soup to `codense_core::container::deserialize`,
-//! `codense_obj::deserialize`, the nibble-stream parser, or a
-//! [`CompressedFetcher`] booted from a corrupt-but-checksummed image must
+//! `codense_obj::deserialize`, the nibble-stream parser, or the production
+//! [`PredecodedFetcher`] booted from a corrupt-but-checksummed image must
 //! produce a typed error (or a well-formed value) — never a panic, a hang,
 //! or an out-of-bounds read. Each battery mutates a valid artifact (bit
 //! flips, truncations, splices, extensions, and flips with the trailing
 //! CRC re-fixed so corruption *passes* the integrity check), then drives
-//! the decoder under `catch_unwind` with a bounded execution budget.
+//! the decoder under `catch_unwind` with a bounded execution budget. Every
+//! battery runs against the case's ISA: its escape bytes, its module
+//! validation rules, and its core.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -19,8 +21,7 @@ use codense_core::nibbles::NibbleReader;
 use codense_core::{CompressedProgram, CompressionConfig, Compressor, EncodingKind, HuffCode};
 use codense_isa::IsaRef;
 use codense_obj::ObjectModule;
-use codense_vm::fetch::{CompressedFetcher, Fetch};
-use codense_vm::machine::{Machine, Outcome};
+use codense_vm::{run_predecoded, PredecodedFetcher};
 
 /// Tally of one fault-injection battery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,29 +106,22 @@ pub fn corrupt(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
     out
 }
 
-/// Drives a fetcher booted from an accepted (possibly corrupt) image for a
-/// bounded number of steps. Every outcome — clean halt, typed fault, budget
-/// exhaustion — is acceptable; only a panic is not.
-fn bounded_run(image: &container::ProgramImage, max_steps: u64) {
-    let mut fetcher = CompressedFetcher::from_image(image);
-    let mut machine = Machine::new(1 << 16);
-    let mut pc = 0u64;
-    for _ in 0..max_steps {
-        let fetched = match fetcher.fetch(pc) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let insn = codense_ppc::decode(fetched.word);
-        match machine.step(&insn, pc, fetched.next_pc, fetcher.granule()) {
-            Ok(Outcome::Next) => pc = fetched.next_pc,
-            Ok(Outcome::Branch(t)) => pc = t,
-            Ok(Outcome::Halt) | Err(_) => return,
-        }
-    }
+/// Boots the production engine from an accepted (possibly corrupt) image
+/// and runs it on a fresh `isa` core for a bounded number of steps. Every
+/// outcome — clean halt, typed fault, budget exhaustion — is acceptable;
+/// only a panic is not.
+fn bounded_run(image: &container::ProgramImage, isa: IsaRef, max_steps: u64) {
+    const MEM: usize = 1 << 16;
+    let mut fetch = PredecodedFetcher::from_image_with(image, isa);
+    let _ = if isa == IsaRef(&codense_mips::ISA) {
+        run_predecoded(&mut codense_mips::Machine::new(MEM), &mut fetch, 0, max_steps)
+    } else {
+        run_predecoded(&mut codense_ppc::machine::Machine::new(MEM), &mut fetch, 0, max_steps)
+    };
 }
 
 /// Corrupts the `.cdns` container of a compressed program `tries` times and
-/// checks the decode-and-execute path end to end.
+/// checks the decode-and-execute path end to end, on the program's ISA.
 pub fn container_battery(
     compressed: &CompressedProgram,
     rng: &mut Rng,
@@ -149,7 +143,7 @@ pub fn container_battery(
         report.checks += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| match container::deserialize(&input) {
             Ok(image) => {
-                bounded_run(&image, 50_000);
+                bounded_run(&image, compressed.isa, 50_000);
                 (false, true)
             }
             Err(_) => (true, false),
@@ -169,7 +163,12 @@ pub fn container_battery(
 /// Corrupts the `.cdm` serialized form of an object module `tries` times;
 /// accepted modules are validated and, when still valid, compressed — the
 /// compressor must also return typed errors, never panic.
-pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> FaultReport {
+pub fn module_battery(
+    module: &ObjectModule,
+    isa: IsaRef,
+    rng: &mut Rng,
+    tries: usize,
+) -> FaultReport {
     let bytes = codense_obj::serialize(module);
     let mut report = FaultReport::default();
 
@@ -190,10 +189,10 @@ pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> Fau
         let outcome = catch_unwind(AssertUnwindSafe(|| match codense_obj::deserialize(&input) {
             Ok(m) => {
                 let mut exercised = false;
-                if m.validate().is_ok() && m.len() <= 4 * module.len() + 64 {
+                if m.validate_with(isa).is_ok() && m.len() <= 4 * module.len() + 64 {
                     // Typed CompressError or success — both fine; the size
                     // bound keeps spliced-length monsters cheap.
-                    let _ = Compressor::new(config).compress(&m);
+                    let _ = Compressor::new(config).with_isa(isa).compress(&m);
                     exercised = true;
                 }
                 (false, exercised)
@@ -216,8 +215,9 @@ pub fn module_battery(module: &ObjectModule, rng: &mut Rng, tries: usize) -> Fau
 /// asserts it terminates with monotonic progress — the decoder loop of the
 /// paper's fetch hardware must never live-lock on garbage. The Huffman
 /// scheme parses against a fixed small code table (soup decodes to random
-/// symbols; the parser must still terminate and make progress).
-pub fn nibble_soup_battery(rng: &mut Rng, tries: usize) -> FaultReport {
+/// symbols; the parser must still terminate and make progress). Escape
+/// bytes are `isa`'s.
+pub fn nibble_soup_battery(isa: IsaRef, rng: &mut Rng, tries: usize) -> FaultReport {
     let mut report = FaultReport::default();
     let huff = HuffCode::from_frequencies(&[40, 20, 10, 5, 2, 1, 1], 80);
     for _ in 0..tries {
@@ -235,9 +235,7 @@ pub fn nibble_soup_battery(rng: &mut Rng, tries: usize) -> FaultReport {
                 let mut r = NibbleReader::new(&soup);
                 let mut last = r.pos();
                 let mut items = 0u64;
-                while let Some(_item) =
-                    read_item_coded(kind, IsaRef(&codense_ppc::ISA), table, &mut r)
-                {
+                while let Some(_item) = read_item_coded(kind, isa, table, &mut r) {
                     assert!(r.pos() > last, "parser made no progress at nibble {last}");
                     last = r.pos();
                     items += 1;
@@ -337,7 +335,7 @@ mod tests {
     #[test]
     fn module_battery_never_panics() {
         let mut rng = Rng::new(8);
-        let report = module_battery(&module(), &mut rng, 150);
+        let report = module_battery(&module(), IsaRef(&codense_ppc::ISA), &mut rng, 150);
         assert_eq!(report.panics, 0, "{report:?}");
         assert!(report.typed_errors > 0);
     }
@@ -345,7 +343,7 @@ mod tests {
     #[test]
     fn nibble_soup_never_hangs_or_panics() {
         let mut rng = Rng::new(9);
-        let report = nibble_soup_battery(&mut rng, 120);
+        let report = nibble_soup_battery(IsaRef(&codense_ppc::ISA), &mut rng, 120);
         assert_eq!(report.panics, 0, "{report:?}");
         assert_eq!(report.checks, 4 * 120);
     }

@@ -15,18 +15,21 @@
 //!   programs over the supported PowerPC subset: multi-block control flow,
 //!   forward and backward branches, calls, stack frames, and jump-table
 //!   dispatches through `.data`.
-//! - [`oracle`] — the lockstep differential oracle: native fetch vs.
-//!   compressed fetch under each codeword encoding, comparing the full
-//!   architectural trace step by step.
+//! - [`mips`] — the MIPS program generator, with the same control-flow
+//!   shapes over a MIPS instruction vocabulary.
+//! - [`oracle`] — the ISA-generic lockstep differential oracle: native
+//!   fetch vs. compressed fetch under each codeword encoding, both on the
+//!   production predecoded engine, comparing the full architectural trace
+//!   step by step.
 //! - [`faults`] — corruption batteries over the `.cdns`/`.cdm` binary
 //!   formats and raw nibble soup, asserting the no-panic decoder policy.
 //! - [`shrink`] — spec-level test-case minimization: every candidate is a
-//!   well-formed terminating program by construction.
-//! - [`runner`] — the campaign driver behind `codense fuzz`: per-case seed
-//!   derivation, parallel execution, shrinking, deterministic reporting.
-//! - [`mips`] — the cross-ISA battery: the same generator/oracle/campaign
-//!   structure ported to the MIPS backend, sharing the campaign seed
-//!   stream so `--isa ppc` and `--isa mips` fuzz the same case seeds.
+//!   well-formed terminating program by construction (PowerPC only; MIPS
+//!   programs have no spec).
+//! - [`runner`] — the campaign driver behind `codense fuzz` for either ISA:
+//!   per-case seed derivation, parallel execution, shrinking, fault
+//!   injection, deterministic reporting. `--isa ppc` and `--isa mips`
+//!   share the campaign seed stream.
 //!
 //! Reproducing a failure is always `seed → program`: the report prints the
 //! derived case seed, and `runner` rebuilds the identical case from it.
@@ -44,7 +47,7 @@ pub mod spec;
 
 pub use faults::{container_battery, corrupt, module_battery, nibble_soup_battery, FaultReport};
 pub use gen::{generate_spec, GenConfig};
-pub use mips::{generate_mips, lockstep_mips, lockstep_mips_with, run_mips, MipsProgram};
+pub use mips::generate_mips;
 pub use oracle::{lockstep, lockstep_with, Divergence, DivergenceKind, LockstepOk, TraceMask};
 pub use runner::{run, FuzzOptions, FuzzReport};
 pub use shrink::shrink;

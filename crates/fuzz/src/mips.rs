@@ -1,43 +1,33 @@
-//! The MIPS half of the cross-ISA differential battery.
+//! The MIPS program generator: the ISA-specific half of the cross-ISA
+//! differential battery.
 //!
-//! The PPC pipeline ([`crate::gen`] → [`crate::spec`] → [`crate::oracle`])
-//! is typed against `codense_ppc` end to end; rather than make three
-//! modules generic over every ISA detail (condition registers, link
-//! registers, branch shapes), this module is a self-contained twin: a
-//! vocabulary-based generator of terminating MIPS programs, a lockstep
-//! oracle over [`codense_mips::Machine`], and a campaign driver producing
-//! the same deterministic report format as [`crate::runner::run`].
-//!
-//! Per-case seeds derive from the campaign seed with the same golden-ratio
-//! salt as the PPC campaign, so `--isa ppc` and `--isa mips` walk the same
-//! seed stream: one campaign seed exercises both compressor ports on
-//! decorrelated but reproducible inputs.
+//! The oracle ([`crate::oracle`]) and the campaign driver
+//! ([`crate::runner`]) are ISA-generic; what differs by ISA is the program
+//! vocabulary. This module generates terminating MIPS programs from a
+//! vocabulary of register-reusing instructions, with the same control-flow
+//! shapes as the PowerPC generator (loops, ifs, jump-table dispatches,
+//! calls). MIPS programs have no [`crate::spec::ProgramSpec`], so their
+//! failures are reported unshrunk.
 //!
 //! Register discipline mirrors the PPC battery's: only `$t9` (jump-table
 //! dispatch) and `$ra` (`jal` link values) ever hold fetch-domain code
-//! addresses, so every other register must match bit-for-bit between the
-//! native and compressed runs at every step.
+//! addresses ([`ADDRESS_REGS`]), so every other register must match
+//! bit-for-bit between the native and compressed runs at every step.
 
 use codense_codegen::Rng;
-use codense_core::parallel::par_map;
-use codense_core::{telemetry, verify, CompressionConfig, Compressor};
 use codense_isa::IsaRef;
 use codense_mips::asm::Assembler;
-use codense_mips::machine::Machine;
 use codense_mips::reg::{Reg, A0, A1, A2, A3, GP, RA, S0, S1, S2, S3, T8, T9, V0, V1, ZERO};
 use codense_mips::MInsn;
 use codense_obj::{FunctionInfo, JumpTable, ObjectModule};
-use codense_vm::fetch::{CompressedFetcher, Fetch, LinearFetcher};
-use codense_vm::machine::Outcome;
 
 use crate::gen::GenConfig;
-use crate::oracle::{error_kind, Divergence, DivergenceKind, LockstepOk, TraceMask};
-use crate::runner::{FuzzOptions, FuzzReport};
-use crate::spec::{DATA_BASE, DATA_MASK, JT_BASE, MEM_BYTES};
+use crate::spec::{BuiltProgram, DATA_BASE, DATA_MASK, JT_BASE};
 
-/// Same per-case seed salt as the PPC campaign (`crate::runner`), so both
-/// ISAs draw from the same case-seed stream for a given campaign seed.
-const CASE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+/// GPRs that carry fetch-domain addresses in generated programs, excluded
+/// from lockstep register comparison: `$t9` (jump-table dispatch) and `$ra`
+/// (`jal` link values).
+pub const ADDRESS_REGS: [u8; 2] = [T9.number(), RA.number()];
 
 /// Registers the generator may read or write in straight-line code.
 /// Excluded by role: `$zero`/`$at`, `$v0` (exit code staging), `$s0`–`$s3`
@@ -65,16 +55,6 @@ pub const MIPS_DATA_REGS: [Reg; 13] = [
 const LOOP_REGS: [Reg; 4] = [S0, S1, S2, S3];
 /// First [`LOOP_REGS`] index available to non-entry functions.
 const CALLEE_LOOP_BASE: usize = 2;
-
-/// A built MIPS fuzz program: the module plus the data-memory address of
-/// each jump table.
-#[derive(Debug, Clone)]
-pub struct MipsProgram {
-    /// The assembled, validated module.
-    pub module: ObjectModule,
-    /// Data-memory address of each `module.jump_tables[t]`.
-    pub table_addrs: Vec<u32>,
-}
 
 struct MGen<'a> {
     rng: &'a mut Rng,
@@ -278,7 +258,7 @@ impl MGen<'_> {
 /// function (loops, ifs, dispatches, calls) plus up to `cfg.max_funcs - 1`
 /// leaf callees. The entry ends in `syscall` with the exit code in `$v0`;
 /// leaves end in `jr $ra`.
-pub fn generate_mips(rng: &mut Rng, cfg: &GenConfig) -> Result<MipsProgram, String> {
+pub fn generate_mips(rng: &mut Rng, cfg: &GenConfig) -> Result<BuiltProgram, String> {
     let funcs_n = rng.range(1, cfg.max_funcs.max(1));
     let mut g = MGen {
         rng,
@@ -373,444 +353,7 @@ pub fn generate_mips(rng: &mut Rng, cfg: &GenConfig) -> Result<MipsProgram, Stri
     module
         .validate_with(IsaRef(&codense_mips::ISA))
         .map_err(|e| format!("invalid mips module: {e}"))?;
-    Ok(MipsProgram { module, table_addrs })
-}
-
-/// Instruction equality modulo branch-offset patching: the compressor
-/// rewrites relative branch and jump displacements into compressed-domain
-/// units, so only the non-offset fields are comparable across domains.
-fn same_insn_mips(native: &MInsn, comp: &MInsn) -> bool {
-    use MInsn::*;
-    match (native, comp) {
-        (Bltz { rs: a, .. }, Bltz { rs: b, .. }) => a == b,
-        (Bgez { rs: a, .. }, Bgez { rs: b, .. }) => a == b,
-        (Blez { rs: a, .. }, Blez { rs: b, .. }) => a == b,
-        (Bgtz { rs: a, .. }, Bgtz { rs: b, .. }) => a == b,
-        (Beq { rs: a, rt: x, .. }, Beq { rs: b, rt: y, .. }) => a == b && x == y,
-        (Bne { rs: a, rt: x, .. }, Bne { rs: b, rt: y, .. }) => a == b && x == y,
-        (J { .. }, J { .. }) => true,
-        (Jal { .. }, Jal { .. }) => true,
-        _ => native == comp,
-    }
-}
-
-fn outcome_kind(o: &Outcome) -> &'static str {
-    match o {
-        Outcome::Next => "next",
-        Outcome::Branch(_) => "branch",
-        Outcome::Halt => "halt",
-    }
-}
-
-/// First differing data-memory byte outside the masked ranges.
-fn first_mem_difference(native: &Machine, comp: &Machine, mask: &TraceMask) -> Option<usize> {
-    (0..native.mem.len().min(comp.mem.len()))
-        .find(|&i| native.mem[i] != comp.mem[i] && !mask.mem_skip.iter().any(|r| r.contains(&i)))
-}
-
-/// The oracle mask for generated MIPS programs: `$t9` carries fetch-domain
-/// addresses in dispatch sequences, `$ra` holds `jal` link values (also
-/// fetch-domain), and the jump-table region of data memory holds
-/// domain-specific entries by construction.
-fn mips_mask(program: &MipsProgram) -> TraceMask {
-    let entries: usize = program.module.jump_tables.iter().map(|t| t.targets.len()).sum();
-    let mut mask = TraceMask::skipping_gprs(&[T9.number(), RA.number()]);
-    mask.mem_skip = std::iter::once(JT_BASE as usize..JT_BASE as usize + 4 * entries).collect();
-    mask
-}
-
-/// Runs the MIPS differential oracle: the same program once through the
-/// native [`LinearFetcher`], once through the [`CompressedFetcher`], with
-/// the full architectural trace compared at every step (PC-to-atom
-/// correspondence, fetched instruction modulo offset patching, every
-/// unmasked GPR) and memory compared at halt.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] between the two traces.
-pub fn lockstep_mips(
-    module: &ObjectModule,
-    compressed: &codense_core::CompressedProgram,
-    table_addrs: &[u32],
-    mask: &TraceMask,
-    mem_bytes: usize,
-    max_steps: u64,
-) -> Result<LockstepOk, Divergence> {
-    lockstep_mips_with(
-        CompressedFetcher::new(compressed),
-        module,
-        compressed,
-        table_addrs,
-        mask,
-        mem_bytes,
-        max_steps,
-    )
-}
-
-/// [`lockstep_mips`] with a caller-supplied compressed fetcher (the
-/// corruption self-check passes a deliberately damaged one).
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] between the two traces.
-pub fn lockstep_mips_with(
-    comp_fetch: CompressedFetcher,
-    module: &ObjectModule,
-    compressed: &codense_core::CompressedProgram,
-    table_addrs: &[u32],
-    mask: &TraceMask,
-    mem_bytes: usize,
-    max_steps: u64,
-) -> Result<LockstepOk, Divergence> {
-    if !compressed.overflow_table.is_empty() {
-        return Ok(LockstepOk::SkippedOverflow);
-    }
-    let mut comp_fetch = comp_fetch;
-    let mut native_fetch = LinearFetcher::new(module.code.clone());
-    let granule = comp_fetch.granule();
-
-    // Atom map: expected compressed PC for each original instruction index.
-    let mut expected_pc = vec![u64::MAX; module.code.len()];
-    for (i, atom) in compressed.atoms.iter().enumerate() {
-        for k in 0..atom.covered() {
-            if let Some(slot) = expected_pc.get_mut(atom.orig() + k) {
-                *slot = compressed.addresses[i];
-            }
-        }
-    }
-
-    let mut native = Machine::new(mem_bytes);
-    let mut comp = Machine::new(mem_bytes);
-    if module.jump_tables.len() != table_addrs.len()
-        || compressed.jump_tables.len() != table_addrs.len()
-    {
-        return Err(Divergence {
-            step: 0,
-            kind: DivergenceKind::PcMismatch,
-            detail: "table count mismatch".into(),
-        });
-    }
-    for (t, table) in module.jump_tables.iter().enumerate() {
-        for (e, &target) in table.targets.iter().enumerate() {
-            let addr = table_addrs[t] + 4 * e as u32;
-            let seed = native
-                .store32(addr, 8 * target as u32)
-                .and_then(|()| comp.store32(addr, compressed.jump_tables[t][e] as u32));
-            if let Err(err) = seed {
-                return Err(Divergence {
-                    step: 0,
-                    kind: DivergenceKind::PcMismatch,
-                    detail: format!("table seed: {err}"),
-                });
-            }
-        }
-    }
-
-    let mut npc = 0u64;
-    let mut cpc = compressed.address_of_orig(0).unwrap_or(0);
-
-    for step in 0..max_steps {
-        let diverge = |kind, detail| Err(Divergence { step, kind, detail });
-
-        if npc.is_multiple_of(8) {
-            if let Some(&want) = expected_pc.get((npc / 8) as usize) {
-                if want != u64::MAX && cpc != want {
-                    return diverge(
-                        DivergenceKind::PcMismatch,
-                        format!(
-                            "native pc {npc:#x} maps to atom {want:#x}, compressed pc {cpc:#x}"
-                        ),
-                    );
-                }
-            }
-        }
-
-        let (nf, cf) = match (native_fetch.fetch(npc), comp_fetch.fetch(cpc)) {
-            (Err(ne), Err(ce)) => {
-                let (nk, ck) = (error_kind(&ne), error_kind(&ce));
-                if nk == ck {
-                    return Ok(LockstepOk::Faulted { steps: step, kind: nk });
-                }
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("native fetch {nk}, compressed fetch {ck}"),
-                );
-            }
-            (Err(ne), Ok(_)) => {
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("native fetch faulted ({}) but compressed delivered", error_kind(&ne)),
-                );
-            }
-            (Ok(_), Err(ce)) => {
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("compressed fetch faulted ({}) but native delivered", error_kind(&ce)),
-                );
-            }
-            (Ok(nf), Ok(cf)) => (nf, cf),
-        };
-
-        let ni = codense_mips::decode(nf.word);
-        let ci = codense_mips::decode(cf.word);
-        if !same_insn_mips(&ni, &ci) {
-            return diverge(
-                DivergenceKind::InsnMismatch,
-                format!("native {ni:?} vs compressed {ci:?} at native pc {npc:#x}"),
-            );
-        }
-
-        let no = native.step(&ni, npc, nf.next_pc, 8);
-        let co = comp.step(&ci, cpc, cf.next_pc, granule);
-
-        let (no, co) = match (no, co) {
-            (Err(ne), Err(ce)) => {
-                let (nk, ck) = (error_kind(&ne), error_kind(&ce));
-                if nk == ck {
-                    return Ok(LockstepOk::Faulted { steps: step + 1, kind: nk });
-                }
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("native fault {nk}, compressed fault {ck}"),
-                );
-            }
-            (Err(ne), Ok(_)) => {
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("only native faulted: {}", error_kind(&ne)),
-                );
-            }
-            (Ok(_), Err(ce)) => {
-                return diverge(
-                    DivergenceKind::ErrorMismatch,
-                    format!("only compressed faulted: {}", error_kind(&ce)),
-                );
-            }
-            (Ok(no), Ok(co)) => (no, co),
-        };
-
-        for r in 0..32 {
-            if mask.skip_gprs & (1 << r) == 0 && native.gpr[r] != comp.gpr[r] {
-                return diverge(
-                    DivergenceKind::RegMismatch,
-                    format!(
-                        "r{r}: native {:#010x}, compressed {:#010x} after {:?}",
-                        native.gpr[r], comp.gpr[r], ni
-                    ),
-                );
-            }
-        }
-
-        match (no, co) {
-            (Outcome::Next, Outcome::Next) => {
-                npc = nf.next_pc;
-                cpc = cf.next_pc;
-            }
-            (Outcome::Branch(nt), Outcome::Branch(ct)) => {
-                npc = nt;
-                cpc = ct;
-            }
-            (Outcome::Halt, Outcome::Halt) => {
-                if native.gpr[2] != comp.gpr[2] {
-                    return diverge(
-                        DivergenceKind::ExitMismatch,
-                        format!("exit: native {}, compressed {}", native.gpr[2], comp.gpr[2]),
-                    );
-                }
-                if let Some(addr) = first_mem_difference(&native, &comp, mask) {
-                    return diverge(
-                        DivergenceKind::MemMismatch,
-                        format!(
-                            "mem[{addr:#x}]: native {:#04x}, compressed {:#04x}",
-                            native.mem[addr], comp.mem[addr]
-                        ),
-                    );
-                }
-                return Ok(LockstepOk::Completed { steps: step + 1, exit: native.gpr[2] });
-            }
-            (a, b) => {
-                return diverge(
-                    DivergenceKind::OutcomeMismatch,
-                    format!("native {}, compressed {}", outcome_kind(&a), outcome_kind(&b)),
-                );
-            }
-        }
-    }
-    Err(Divergence {
-        step: max_steps,
-        kind: DivergenceKind::StepLimit,
-        detail: format!("no halt within {max_steps} steps"),
-    })
-}
-
-/// The four encodings every case is checked under, with the MIPS port of
-/// the compressor selected.
-fn encodings() -> [(&'static str, CompressionConfig); 4] {
-    [
-        ("baseline", CompressionConfig::baseline()),
-        ("one-byte", CompressionConfig::small_dictionary(32)),
-        ("nibble", CompressionConfig::nibble_aligned()),
-        ("huffman", CompressionConfig::huffman()),
-    ]
-}
-
-/// Outcome of one MIPS case.
-#[derive(Debug, Clone, Default)]
-struct CaseOutcome {
-    completed: [u64; 4],
-    skipped: [u64; 4],
-    agreed_faults: u64,
-    failures: Vec<String>,
-}
-
-fn run_mips_case(opts: &FuzzOptions, case: usize) -> CaseOutcome {
-    telemetry::FUZZ_CASES.inc();
-    let case_seed = opts.seed ^ (case as u64 + 1).wrapping_mul(CASE_SALT);
-    let mut out = CaseOutcome::default();
-    let mut rng = Rng::new(case_seed);
-    let program = match generate_mips(&mut rng, &GenConfig::default()) {
-        Ok(p) => p,
-        Err(e) => {
-            out.failures.push(format!("case {case} seed {case_seed:#018x}: build failed: {e}"));
-            return out;
-        }
-    };
-    let mask = mips_mask(&program);
-
-    for (ei, (label, config)) in encodings().into_iter().enumerate() {
-        let compressed = match Compressor::new(config)
-            .with_isa(IsaRef(&codense_mips::ISA))
-            .compress(&program.module)
-        {
-            Ok(c) => c,
-            Err(e) => {
-                out.failures.push(format!(
-                    "case {case} seed {case_seed:#018x}: [{label}] compress error: {e}"
-                ));
-                continue;
-            }
-        };
-        if let Err(e) = verify::verify(&program.module, &compressed) {
-            out.failures
-                .push(format!("case {case} seed {case_seed:#018x}: [{label}] verify error: {e}"));
-            continue;
-        }
-        telemetry::FUZZ_LOCKSTEP_RUNS.inc();
-        match lockstep_mips(
-            &program.module,
-            &compressed,
-            &program.table_addrs,
-            &mask,
-            MEM_BYTES,
-            opts.max_steps,
-        ) {
-            Ok(LockstepOk::Completed { .. }) => out.completed[ei] += 1,
-            Ok(LockstepOk::Faulted { .. }) => out.agreed_faults += 1,
-            Ok(LockstepOk::SkippedOverflow) => out.skipped[ei] += 1,
-            Err(divergence) => {
-                telemetry::FUZZ_DIVERGENCES.inc();
-                out.failures
-                    .push(format!("case {case} seed {case_seed:#018x}: [{label}] {divergence}"));
-            }
-        }
-    }
-    out
-}
-
-/// Fixed-seed smoke test: a known program must compress under the nibble
-/// encoding with a real dictionary and survive full-trace lockstep.
-fn mips_smoke(max_steps: u64) -> (String, usize) {
-    const SMOKE_SEED: u64 = 0x4B1D_C005;
-    let max_steps = max_steps.max(1 << 20);
-    let mut rng = Rng::new(SMOKE_SEED);
-    let program = match generate_mips(&mut rng, &GenConfig::default()) {
-        Ok(p) => p,
-        Err(e) => return (format!("self-test: FAILED - mips smoke build: {e}"), 1),
-    };
-    let compressed = match Compressor::new(CompressionConfig::nibble_aligned())
-        .with_isa(IsaRef(&codense_mips::ISA))
-        .compress(&program.module)
-    {
-        Ok(c) => c,
-        Err(e) => return (format!("self-test: FAILED - mips smoke compress: {e}"), 1),
-    };
-    if compressed.dictionary.is_empty() {
-        return ("self-test: FAILED - mips smoke built no dictionary".into(), 1);
-    }
-    if let Err(e) = verify::verify(&program.module, &compressed) {
-        return (format!("self-test: FAILED - mips smoke verify: {e}"), 1);
-    }
-    let mask = mips_mask(&program);
-    telemetry::FUZZ_LOCKSTEP_RUNS.inc();
-    match lockstep_mips(
-        &program.module,
-        &compressed,
-        &program.table_addrs,
-        &mask,
-        MEM_BYTES,
-        max_steps,
-    ) {
-        Ok(_) => (
-            format!(
-                "self-test: mips smoke ok ({} insns, {} dictionary entries)",
-                program.module.len(),
-                compressed.dictionary.len()
-            ),
-            0,
-        ),
-        Err(d) => (format!("self-test: FAILED - mips smoke diverged: {d}"), 1),
-    }
-}
-
-/// Runs a MIPS differential fuzz campaign. Same determinism contract as
-/// [`crate::runner::run`]: the report is byte-identical for a given
-/// `(cases, seed)` pair regardless of worker count. Fault-injection and
-/// hybrid batteries are PPC-only ([`FuzzOptions::fault_tries`] and
-/// [`FuzzOptions::hybrid`] are ignored here).
-pub fn run_mips(opts: &FuzzOptions) -> FuzzReport {
-    let mut lines = vec![format!(
-        "codense fuzz: isa=mips cases={} seed={:#x} max-steps={}",
-        opts.cases, opts.seed, opts.max_steps
-    )];
-    let (smoke_line, mut failures) = {
-        let _phase = telemetry::phase("fuzz-self-test");
-        mips_smoke(opts.max_steps)
-    };
-    lines.push(smoke_line);
-
-    let cases_phase = telemetry::phase("fuzz-cases");
-    let outcomes = par_map((0..opts.cases).collect(), |_, case| run_mips_case(opts, case));
-    drop(cases_phase);
-
-    let mut completed = [0u64; 4];
-    let mut skipped = [0u64; 4];
-    let mut agreed_faults = 0u64;
-    let mut failure_lines = Vec::new();
-    for out in outcomes {
-        for e in 0..4 {
-            completed[e] += out.completed[e];
-            skipped[e] += out.skipped[e];
-        }
-        agreed_faults += out.agreed_faults;
-        failure_lines.extend(out.failures);
-    }
-    failures += failure_lines.len();
-
-    let labels = encodings().map(|(l, _)| l);
-    for e in 0..4 {
-        lines.push(format!(
-            "encoding {}: completed={} skipped-overflow={}",
-            labels[e], completed[e], skipped[e]
-        ));
-    }
-    lines.push(format!("agreed-faults={agreed_faults}"));
-    lines.extend(failure_lines);
-    lines.push(if failures == 0 {
-        format!("result: OK ({} cases, 0 divergences, 0 panics)", opts.cases)
-    } else {
-        format!("result: FAIL ({failures} failures over {} cases)", opts.cases)
-    });
-    FuzzReport { lines, failures }
+    Ok(BuiltProgram { module, table_addrs })
 }
 
 #[cfg(test)]
@@ -836,50 +379,5 @@ mod tests {
             assert!(p.module.validate_with(IsaRef(&codense_mips::ISA)).is_ok(), "seed {seed}");
             assert!(!p.module.code.is_empty());
         }
-    }
-
-    #[test]
-    fn tiny_mips_campaign_is_clean_and_deterministic() {
-        let opts = FuzzOptions { cases: 6, seed: 7, ..FuzzOptions::default() };
-        let a = run_mips(&opts);
-        assert!(a.ok(), "campaign failed:\n{}", a.render());
-        let b = run_mips(&opts);
-        assert_eq!(a.lines, b.lines);
-    }
-
-    #[test]
-    fn smoke_program_exercises_the_dictionary() {
-        let (line, failures) = mips_smoke(1 << 20);
-        assert_eq!(failures, 0, "{line}");
-    }
-
-    #[test]
-    fn lockstep_catches_a_corrupt_dictionary() {
-        // The oracle must not be vacuous: corrupting the hottest dictionary
-        // entry of the smoke program must produce a divergence for at least
-        // one entry.
-        let mut rng = Rng::new(0x4B1D_C005);
-        let program = generate_mips(&mut rng, &GenConfig::default()).unwrap();
-        let compressed = Compressor::new(CompressionConfig::nibble_aligned())
-            .with_isa(IsaRef(&codense_mips::ISA))
-            .compress(&program.module)
-            .unwrap();
-        let mask = mips_mask(&program);
-        let caught = (0..compressed.dictionary.len()).any(|rank| {
-            let mut image = compressed.to_image();
-            image.dictionary_by_rank[rank][0] ^= 1 << 21;
-            let fetcher = CompressedFetcher::from_image_with(&image, IsaRef(&codense_mips::ISA));
-            lockstep_mips_with(
-                fetcher,
-                &program.module,
-                &compressed,
-                &program.table_addrs,
-                &mask,
-                MEM_BYTES,
-                1 << 20,
-            )
-            .is_err()
-        });
-        assert!(caught, "no dictionary corruption was ever detected");
     }
 }

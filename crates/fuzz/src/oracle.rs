@@ -1,21 +1,26 @@
 //! The differential-execution oracle.
 //!
-//! Runs one program twice in lockstep — once through the native
-//! [`LinearFetcher`], once through the [`CompressedFetcher`] — and compares
-//! the *full architectural trace*, not just the final state: every step
-//! checks the compressed PC against the atom map, the fetched instruction
-//! (normalized for branch-offset patching), every unmasked GPR, CR, CA, and
-//! the control-flow outcome kind. Memory is compared at halt. LR and CTR are
-//! never compared directly: they hold fetch-domain addresses, which are
-//! *supposed* to differ between the two machines; their effects are still
-//! checked because calls, returns, and table dispatches land on atoms the
-//! PC check validates.
+//! Runs one program twice in lockstep on the production fetch engine —
+//! once over the native text ([`PredecodedFetcher::linear`]), once over the
+//! compressed image ([`PredecodedFetcher::new`]) — and compares the *full
+//! architectural trace*, not just the final state: every step checks the
+//! compressed PC against the atom map, the fetched instruction (normalized
+//! for branch-offset patching), every unmasked GPR, the condition/carry
+//! flags, and the control-flow outcome kind. Memory is compared at halt.
+//!
+//! The oracle is ISA-generic: the program's ISA comes from
+//! [`CompressedProgram::isa`], both cores from [`codense_isa::Isa::new_core`],
+//! and execution goes through [`Core::step_word`]. Registers that hold
+//! fetch-domain addresses (PowerPC LR/CTR, which are never compared, and
+//! whatever GPRs the [`TraceMask`] names) are *supposed* to differ between
+//! the two machines; their effects are still checked because calls,
+//! returns, and table dispatches land on atoms the PC check validates.
 
 use codense_core::CompressedProgram;
+use codense_isa::{Core, IsaRef};
 use codense_obj::ObjectModule;
-use codense_ppc::insn::Insn;
-use codense_vm::fetch::{CompressedFetcher, Fetch, LinearFetcher};
-use codense_vm::machine::{Machine, MachineError, Outcome};
+use codense_vm::fetch::{Fetch, PredecodedFetcher};
+use codense_vm::machine::{MachineError, Outcome};
 
 /// What a lockstep comparison ignores.
 #[derive(Debug, Clone, Default)]
@@ -47,10 +52,8 @@ pub enum DivergenceKind {
     InsnMismatch,
     /// A compared GPR differed after the step.
     RegMismatch,
-    /// CR differed after the step.
-    CrMismatch,
-    /// CA differed after the step.
-    CaMismatch,
+    /// The condition/carry flags ([`Core::flags`]) differed after the step.
+    FlagsMismatch,
     /// One run fell through where the other branched or halted.
     OutcomeMismatch,
     /// One run faulted and the other did not, or the fault kinds differed.
@@ -69,8 +72,7 @@ impl std::fmt::Display for DivergenceKind {
             DivergenceKind::PcMismatch => "pc-mismatch",
             DivergenceKind::InsnMismatch => "insn-mismatch",
             DivergenceKind::RegMismatch => "reg-mismatch",
-            DivergenceKind::CrMismatch => "cr-mismatch",
-            DivergenceKind::CaMismatch => "ca-mismatch",
+            DivergenceKind::FlagsMismatch => "flags-mismatch",
             DivergenceKind::OutcomeMismatch => "outcome-mismatch",
             DivergenceKind::ErrorMismatch => "error-mismatch",
             DivergenceKind::ExitMismatch => "exit-mismatch",
@@ -105,7 +107,7 @@ pub enum LockstepOk {
     Completed {
         /// Instructions executed.
         steps: u64,
-        /// Exit code (`r3` at `sc`).
+        /// Exit code ([`Core::exit_code`] at the halt).
         exit: u32,
     },
     /// Both runs faulted at the same step with the same fault kind (the
@@ -134,17 +136,13 @@ pub fn error_kind(e: &MachineError) -> &'static str {
     }
 }
 
-/// Instruction equality modulo branch-offset patching: the compressor
-/// rewrites relative branch displacements into compressed-domain units, so
-/// only the non-offset fields are comparable across domains.
-fn same_insn(native: &Insn, comp: &Insn) -> bool {
-    match (native, comp) {
-        (Insn::B { aa: false, lk: a, .. }, Insn::B { aa: false, lk: b, .. }) => a == b,
-        (
-            Insn::Bc { bo: bo1, bi: bi1, aa: false, lk: lk1, .. },
-            Insn::Bc { bo: bo2, bi: bi2, aa: false, lk: lk2, .. },
-        ) => bo1 == bo2 && bi1 == bi2 && lk1 == lk2,
-        _ => native == comp,
+/// An instruction word with its relative-branch displacement zeroed: the
+/// compressor rewrites displacements into compressed-domain units, so only
+/// the other fields are comparable across domains.
+fn without_offset(isa: IsaRef, word: u32) -> u32 {
+    match isa.rel_branch_info(word) {
+        Some(branch) => isa.patch_offset_units(word, branch.kind, 0),
+        None => word,
     }
 }
 
@@ -157,11 +155,11 @@ fn outcome_kind(o: &Outcome) -> &'static str {
 }
 
 /// Materializes jump tables into data memory: instruction-index targets
-/// become word addresses (`8 × index`) for the native machine and the
-/// compressor-patched nibble addresses for the compressed machine.
+/// become word addresses (`8 × index`) for the native core and the
+/// compressor-patched nibble addresses for the compressed core.
 fn seed_tables(
-    native: &mut Machine,
-    comp: &mut Machine,
+    native: &mut dyn Core,
+    comp: &mut dyn Core,
     module: &ObjectModule,
     compressed: &CompressedProgram,
     table_addrs: &[u32],
@@ -179,16 +177,16 @@ fn seed_tables(
     for (t, table) in module.jump_tables.iter().enumerate() {
         for (e, &target) in table.targets.iter().enumerate() {
             let addr = table_addrs[t] + 4 * e as u32;
-            native.store32(addr, 8 * target as u32).map_err(|err| format!("table seed: {err}"))?;
-            comp.store32(addr, compressed.jump_tables[t][e] as u32)
+            native.write32(addr, 8 * target as u32).map_err(|err| format!("table seed: {err}"))?;
+            comp.write32(addr, compressed.jump_tables[t][e] as u32)
                 .map_err(|err| format!("table seed: {err}"))?;
         }
     }
     Ok(())
 }
 
-/// Runs the differential oracle with the default (faithful) compressed
-/// fetcher. See [`lockstep_with`] for the full contract.
+/// Runs the differential oracle with the compressed program's own image.
+/// See [`lockstep_with`] for the full contract.
 ///
 /// # Errors
 ///
@@ -197,13 +195,13 @@ pub fn lockstep(
     module: &ObjectModule,
     compressed: &CompressedProgram,
     table_addrs: &[u32],
-    setup: &dyn Fn(&mut Machine),
+    setup: &dyn Fn(&mut dyn Core),
     mask: &TraceMask,
     mem_bytes: usize,
     max_steps: u64,
 ) -> Result<LockstepOk, Divergence> {
     lockstep_with(
-        CompressedFetcher::new(compressed),
+        PredecodedFetcher::new(compressed),
         module,
         compressed,
         table_addrs,
@@ -215,12 +213,14 @@ pub fn lockstep(
 }
 
 /// Runs the differential oracle with a caller-supplied compressed fetcher
-/// (fault injection passes a deliberately corrupted one).
+/// (fault injection passes one booted from a deliberately corrupted
+/// image with [`PredecodedFetcher::from_image_with`]).
 ///
-/// Both machines start from [`Machine::new`], get `setup` applied, and have
-/// the module's jump tables materialized in data memory (domain-appropriate
-/// entries on each side). Execution proceeds one instruction at a time on
-/// both machines until halt, fault, divergence, or `max_steps`.
+/// Both cores are fresh [`codense_isa::Isa::new_core`] instances of the
+/// compressed program's ISA; each gets `setup` applied and the module's
+/// jump tables materialized in data memory (domain-appropriate entries on
+/// each side). Execution proceeds one instruction at a time on both cores
+/// until halt, fault, divergence, or `max_steps`.
 ///
 /// # Errors
 ///
@@ -230,11 +230,11 @@ pub fn lockstep(
 /// one trace stopped making progress.
 #[allow(clippy::too_many_arguments)]
 pub fn lockstep_with(
-    comp_fetch: CompressedFetcher,
+    mut comp_fetch: PredecodedFetcher,
     module: &ObjectModule,
     compressed: &CompressedProgram,
     table_addrs: &[u32],
-    setup: &dyn Fn(&mut Machine),
+    setup: &dyn Fn(&mut dyn Core),
     mask: &TraceMask,
     mem_bytes: usize,
     max_steps: u64,
@@ -242,8 +242,8 @@ pub fn lockstep_with(
     if !compressed.overflow_table.is_empty() {
         return Ok(LockstepOk::SkippedOverflow);
     }
-    let mut comp_fetch = comp_fetch;
-    let mut native_fetch = LinearFetcher::new(module.code.clone());
+    let isa = compressed.isa;
+    let mut native_fetch = PredecodedFetcher::linear(module.code.clone());
     let granule = comp_fetch.granule();
 
     // Atom map: expected compressed PC for each original instruction index.
@@ -258,11 +258,13 @@ pub fn lockstep_with(
         }
     }
 
-    let mut native = Machine::new(mem_bytes);
-    let mut comp = Machine::new(mem_bytes);
-    setup(&mut native);
-    setup(&mut comp);
-    if let Err(detail) = seed_tables(&mut native, &mut comp, module, compressed, table_addrs) {
+    let mut native = isa.new_core(mem_bytes);
+    let mut comp = isa.new_core(mem_bytes);
+    setup(native.as_mut());
+    setup(comp.as_mut());
+    if let Err(detail) =
+        seed_tables(native.as_mut(), comp.as_mut(), module, compressed, table_addrs)
+    {
         return Err(Divergence { step: 0, kind: DivergenceKind::PcMismatch, detail });
     }
 
@@ -313,17 +315,22 @@ pub fn lockstep_with(
             (Ok(nf), Ok(cf)) => (nf, cf),
         };
 
-        let ni = codense_ppc::decode(nf.word);
-        let ci = codense_ppc::decode(cf.word);
-        if !same_insn(&ni, &ci) {
+        // Disassembly for divergence details. A compressed branch's field
+        // counts granules, so its printed target is not a byte address.
+        let show = |word| isa.disassemble(word, (npc / 2) as u32);
+        if without_offset(isa, nf.word) != without_offset(isa, cf.word) {
             return diverge(
                 DivergenceKind::InsnMismatch,
-                format!("native {ni:?} vs compressed {ci:?} at native pc {npc:#x}"),
+                format!(
+                    "native `{}` vs compressed `{}` at native pc {npc:#x}",
+                    show(nf.word),
+                    show(cf.word)
+                ),
             );
         }
 
-        let no = native.step(&ni, npc, nf.next_pc, 8);
-        let co = comp.step(&ci, cpc, cf.next_pc, granule);
+        let no = native.step_word(nf.word, npc, nf.next_pc, 8);
+        let co = comp.step_word(cf.word, cpc, cf.next_pc, granule);
 
         let (no, co) = match (no, co) {
             (Err(ne), Err(ce)) => {
@@ -351,28 +358,23 @@ pub fn lockstep_with(
             (Ok(no), Ok(co)) => (no, co),
         };
 
-        // Architectural state after the step. LR/CTR are fetch-domain.
+        // Architectural state after the step.
         for r in 0..32 {
-            if mask.skip_gprs & (1 << r) == 0 && native.gpr[r] != comp.gpr[r] {
+            let (nv, cv) = (native.gpr(r), comp.gpr(r));
+            if mask.skip_gprs & (1 << r) == 0 && nv != cv {
                 return diverge(
                     DivergenceKind::RegMismatch,
                     format!(
-                        "r{r}: native {:#010x}, compressed {:#010x} after {:?}",
-                        native.gpr[r], comp.gpr[r], ni
+                        "r{r}: native {nv:#010x}, compressed {cv:#010x} after `{}`",
+                        show(nf.word)
                     ),
                 );
             }
         }
-        if native.cr != comp.cr {
+        if native.flags() != comp.flags() {
             return diverge(
-                DivergenceKind::CrMismatch,
-                format!("cr: native {:#010x}, compressed {:#010x}", native.cr, comp.cr),
-            );
-        }
-        if native.ca != comp.ca {
-            return diverge(
-                DivergenceKind::CaMismatch,
-                format!("ca: native {}, compressed {}", native.ca, comp.ca),
+                DivergenceKind::FlagsMismatch,
+                format!("flags: native {:#x}, compressed {:#x}", native.flags(), comp.flags()),
             );
         }
 
@@ -386,22 +388,27 @@ pub fn lockstep_with(
                 cpc = ct;
             }
             (Outcome::Halt, Outcome::Halt) => {
-                if native.gpr[3] != comp.gpr[3] {
+                let (nx, cx) = (native.exit_code(), comp.exit_code());
+                if nx != cx {
                     return diverge(
                         DivergenceKind::ExitMismatch,
-                        format!("exit: native {}, compressed {}", native.gpr[3], comp.gpr[3]),
+                        format!("exit: native {nx}, compressed {cx}"),
                     );
                 }
-                if let Some(addr) = first_mem_difference(&native, &comp, mask) {
+                let (nm, cm) = (native.mem_bytes(), comp.mem_bytes());
+                let skipped = |addr: usize| mask.mem_skip.iter().any(|r| r.contains(&addr));
+                let differs =
+                    nm.iter().zip(cm).enumerate().find(|&(a, (n, c))| n != c && !skipped(a));
+                if let Some((addr, _)) = differs {
                     return diverge(
                         DivergenceKind::MemMismatch,
                         format!(
                             "mem[{addr:#x}]: native {:#04x}, compressed {:#04x}",
-                            native.mem[addr], comp.mem[addr]
+                            nm[addr], cm[addr]
                         ),
                     );
                 }
-                return Ok(LockstepOk::Completed { steps: step + 1, exit: native.gpr[3] });
+                return Ok(LockstepOk::Completed { steps: step + 1, exit: nx });
             }
             (a, b) => {
                 return diverge(
@@ -418,66 +425,68 @@ pub fn lockstep_with(
     })
 }
 
-fn first_mem_difference(native: &Machine, comp: &Machine, mask: &TraceMask) -> Option<usize> {
-    let skipped = |addr: usize| mask.mem_skip.iter().any(|r| r.contains(&addr));
-    native
-        .mem
-        .iter()
-        .zip(&comp.mem)
-        .enumerate()
-        .find(|&(addr, (a, b))| a != b && !skipped(addr))
-        .map(|(addr, _)| addr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use codense_core::{CompressionConfig, Compressor};
-    use codense_ppc::encode;
+    use codense_mips::reg::{A0, V0, ZERO};
+    use codense_mips::MInsn;
+    use codense_ppc::insn::Insn;
     use codense_ppc::reg::{R0, R3, R4};
 
-    fn counting_module() -> ObjectModule {
-        let mut m = ObjectModule::new("count");
-        m.code.push(encode(&Insn::Addi { rt: R3, ra: R0, si: 0 }));
+    /// The same counting program on each ISA: twelve increments of the
+    /// exit register, interleaved with a dependent copy.
+    fn counting_modules() -> [(IsaRef, ObjectModule); 2] {
+        let mut ppc = ObjectModule::new("count");
+        ppc.code.push(codense_ppc::encode(&Insn::Addi { rt: R3, ra: R0, si: 0 }));
+        let mut mips = ObjectModule::new("count");
+        mips.code.push(codense_mips::encode(&MInsn::Addiu { rt: V0, rs: ZERO, imm: 0 }));
         for _ in 0..12 {
-            m.code.push(encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
-            m.code.push(encode(&Insn::Addi { rt: R4, ra: R3, si: 5 }));
+            ppc.code.push(codense_ppc::encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
+            ppc.code.push(codense_ppc::encode(&Insn::Addi { rt: R4, ra: R3, si: 5 }));
+            mips.code.push(codense_mips::encode(&MInsn::Addiu { rt: V0, rs: V0, imm: 1 }));
+            mips.code.push(codense_mips::encode(&MInsn::Addiu { rt: A0, rs: V0, imm: 5 }));
         }
-        m.code.push(encode(&Insn::Sc));
-        m
+        ppc.code.push(codense_ppc::encode(&Insn::Sc));
+        mips.code.push(codense_mips::encode(&MInsn::Syscall));
+        [(IsaRef(&codense_ppc::ISA), ppc), (IsaRef(&codense_mips::ISA), mips)]
     }
 
     #[test]
     fn identical_programs_complete() {
-        let m = counting_module();
-        for config in [
-            CompressionConfig::baseline(),
-            CompressionConfig::small_dictionary(16),
-            CompressionConfig::nibble_aligned(),
-            CompressionConfig::huffman(),
-        ] {
-            let c = Compressor::new(config).compress(&m).unwrap();
-            let got = lockstep(&m, &c, &[], &|_| {}, &TraceMask::default(), 1 << 16, 10_000)
-                .expect("no divergence");
-            assert_eq!(got, LockstepOk::Completed { steps: m.code.len() as u64, exit: 12 });
+        for (isa, m) in counting_modules() {
+            for config in [
+                CompressionConfig::baseline(),
+                CompressionConfig::small_dictionary(16),
+                CompressionConfig::nibble_aligned(),
+                CompressionConfig::huffman(),
+            ] {
+                let c = Compressor::new(config).with_isa(isa).compress(&m).unwrap();
+                let got = lockstep(&m, &c, &[], &|_| {}, &TraceMask::default(), 1 << 16, 10_000)
+                    .unwrap_or_else(|d| panic!("{isa:?}: {d}"));
+                assert_eq!(got, LockstepOk::Completed { steps: m.code.len() as u64, exit: 12 });
+            }
         }
     }
 
     #[test]
     fn corrupted_dictionary_entry_diverges() {
-        let m = counting_module();
-        let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap();
-        let mut image = c.to_image();
-        assert!(!image.dictionary_by_rank.is_empty());
-        // Flip a data bit in the hottest dictionary entry's first word.
-        image.dictionary_by_rank[0][0] ^= 1 << 16;
-        let bad = CompressedFetcher::from_image(&image);
-        let err = lockstep_with(bad, &m, &c, &[], &|_| {}, &TraceMask::default(), 1 << 16, 10_000)
-            .expect_err("corruption must be caught");
-        assert!(
-            matches!(err.kind, DivergenceKind::InsnMismatch | DivergenceKind::RegMismatch),
-            "unexpected kind: {err}"
-        );
+        for (isa, m) in counting_modules() {
+            let c = Compressor::new(CompressionConfig::nibble_aligned())
+                .with_isa(isa)
+                .compress(&m)
+                .unwrap();
+            let mut image = c.to_image();
+            assert!(!image.dictionary_by_rank.is_empty());
+            // Flip a register-field bit in the hottest dictionary entry's
+            // first word.
+            image.dictionary_by_rank[0][0] ^= 1 << 16;
+            let bad = PredecodedFetcher::from_image_with(&image, isa);
+            let err =
+                lockstep_with(bad, &m, &c, &[], &|_| {}, &TraceMask::default(), 1 << 16, 10_000)
+                    .expect_err("corruption must be caught");
+            assert_eq!(err.kind, DivergenceKind::InsnMismatch, "{isa:?}: {err}");
+        }
     }
 
     #[test]

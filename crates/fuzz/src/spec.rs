@@ -209,7 +209,6 @@ impl Lowering<'_> {
                             "dispatch width must be a power of two".into(),
                         ));
                     }
-                    let table_no = self.tables.len();
                     let addr = table_address(&self.tables);
                     // Mask the index to the table, scale by entry size, load
                     // the patched target into CTR, dispatch.
@@ -235,7 +234,6 @@ impl Lowering<'_> {
                     }
                     self.a.label(&join);
                     self.tables.push(entries);
-                    let _ = table_no;
                 }
             }
         }

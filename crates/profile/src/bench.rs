@@ -96,7 +96,7 @@ pub fn bench(name: &str) -> Option<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codense_vm::{machine::Machine, run::run, LinearFetcher};
+    use codense_vm::{machine::Machine, run_predecoded, PredecodedFetcher};
 
     #[test]
     fn padded_kernels_still_pass() {
@@ -109,8 +109,8 @@ mod tests {
             );
             let mut machine = Machine::new(1 << 20);
             kernel.apply_init(&mut machine);
-            let mut fetch = LinearFetcher::new(kernel.module.code.clone());
-            let result = run(&mut machine, &mut fetch, 0, 10_000_000)
+            let mut fetch = PredecodedFetcher::linear(kernel.module.code.clone());
+            let result = run_predecoded(&mut machine, &mut fetch, 0, 10_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
             assert_eq!(result.exit_code, kernel.expected, "{}", kernel.name);
         }

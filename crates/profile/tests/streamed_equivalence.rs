@@ -24,10 +24,8 @@ use codense_profile::{
     bench, collect_subject, hot_mask, score_compressed_subject, score_native_subject, BlockStat,
     CostParams, FetchEvents, HotnessPolicy, Profile, ProfileError, Score, Subject,
 };
-use codense_vm::{
-    run, run_predecoded, CompressedFetcher, Fetch, LinearFetcher, Machine, MachineError,
-    PredecodedFetcher, RunResult,
-};
+use codense_vm::reference::{run, CompressedFetcher, LinearFetcher};
+use codense_vm::{run_predecoded, Fetch, Machine, MachineError, PredecodedFetcher, RunResult};
 use tracing::{SpecCache, TracingFetch};
 
 static SERIAL: Mutex<()> = Mutex::new(());

@@ -1,29 +1,23 @@
-//! Instruction fetch engines: the two paths of the paper's Fig 3, plus the
-//! predecoded fast path that makes SPEC-scale programs runnable.
+//! Instruction fetch: the [`Fetch`] contract, [`FetchStats`], and the
+//! production engine of the paper's Fig 3 front end.
 //!
-//! [`LinearFetcher`] is the ordinary processor front end: the PC advances 8
-//! nibbles (one word) per instruction. [`CompressedFetcher`] is the modified
-//! front end: it parses the packed compressed image nibble by nibble,
-//! detects escape prefixes, and expands codewords through the on-chip
-//! dictionary into an expansion buffer that feeds the core one instruction
-//! at a time. It re-parses the stream on every fetch — faithful to the
-//! hardware model and the reference against which everything else is
-//! checked, but too slow for multi-million-step corpus runs.
-//!
-//! [`PredecodedFetcher`] is the fast path: a decoded-item cache keyed by
-//! compressed-stream (nibble) offset. The first fetch of an item parses it
-//! exactly as [`CompressedFetcher`] would and caches the outcome — the
-//! delivered words, the item kind, and the nibbles it consumes; every later
-//! fetch of that offset replays the cache with no parsing, no dictionary
-//! copy, and no allocation. Faults are never cached. The engine is
-//! byte-exact with [`CompressedFetcher`]: same delivered stream, same
-//! [`FetchStats`], same telemetry counters (`vm_fetch_*`), so the cycle
-//! model and `BENCH_hybrid.json` stay valid. [`crate::run::run_predecoded`]
+//! [`PredecodedFetcher`] is a decoded-item cache keyed by compressed-stream
+//! (nibble) offset. The first fetch of an item parses it exactly as the
+//! modified front end would — escape detection, dictionary expansion,
+//! Huffman decode — and caches the outcome: the delivered words, the item
+//! kind, and the nibbles it consumes. Every later fetch of that offset
+//! replays the cache with no parsing, no dictionary copy, and no
+//! allocation. Faults are never cached. [`crate::run::run_predecoded`]
 //! drives it with a threaded dispatch loop that also hoists instruction
 //! *decode* out of the step cycle (see [`codense_isa::PredecodeCore`]).
 //! [`PredecodedFetcher::linear`] puts uncompressed text behind the same
-//! cache (whole words at 8-nibble steps, byte-exact with
-//! [`LinearFetcher`]), so one loop runs both fetch domains.
+//! cache (whole words at 8-nibble steps), so one loop runs both fetch
+//! domains.
+//!
+//! The engine is byte-exact with the re-parsing engines of
+//! [`crate::reference`], which re-parse the stream on every fetch: same
+//! delivered stream, same [`FetchStats`], same telemetry counters
+//! (`vm.fetch.*`), so the cycle model and `BENCH_hybrid.json` stay valid.
 //!
 //! Fetch engines deliver raw instruction *words* — decode belongs to the
 //! target core ([`codense_isa::Core::step_word`]), which keeps the fetch
@@ -50,13 +44,6 @@ pub struct FetchStats {
     pub codewords: u64,
     /// Instructions delivered out of dictionary expansions.
     pub expanded_insns: u64,
-    /// Dictionary-cache hits (only counted when a dictionary cache is
-    /// configured; see [`CompressedFetcher::with_dict_cache`]).
-    pub dict_hits: u64,
-    /// Dictionary-cache misses.
-    pub dict_misses: u64,
-    /// Bytes of dictionary entries loaded from data memory on misses.
-    pub dict_bytes_loaded: u64,
     /// Nibble-PC realignments: control transfers into the packed stream at
     /// an address that is not word-aligned, forcing the fetch unit to
     /// realign mid-word (sequential flow streams and never realigns).
@@ -103,245 +90,10 @@ pub trait Fetch {
 }
 
 /// A program's dictionary entries by codeword rank.
-fn by_rank(program: &CompressedProgram) -> Vec<Vec<u32>> {
+pub(crate) fn by_rank(program: &CompressedProgram) -> Vec<Vec<u32>> {
     let d = &program.dictionary;
     (0..d.len() as u32).map(|rank| d.entry(d.entry_of_rank(rank)).words.clone()).collect()
 }
-
-/// The conventional fetch path over an uncompressed text image.
-#[derive(Debug, Clone)]
-pub struct LinearFetcher {
-    code: Vec<u32>,
-    stats: FetchStats,
-}
-
-impl LinearFetcher {
-    /// Creates a fetcher over instruction words (instruction `i` lives at
-    /// nibble address `8 * i`).
-    pub fn new(code: Vec<u32>) -> LinearFetcher {
-        LinearFetcher { code, stats: FetchStats::default() }
-    }
-}
-
-impl Fetch for LinearFetcher {
-    fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
-        if !pc.is_multiple_of(8) {
-            return Err(MachineError::FetchFault { pc });
-        }
-        let idx = (pc / 8) as usize;
-        let word = *self.code.get(idx).ok_or(MachineError::FetchFault { pc })?;
-        self.stats.insns += 1;
-        self.stats.nibbles_fetched += 8;
-        telemetry::VM_FETCH_LINEAR_INSNS.inc();
-        telemetry::VM_FETCH_NIBBLES.add(8);
-        Ok(Fetched { word, next_pc: pc + 8 })
-    }
-
-    fn granule(&self) -> u32 {
-        8
-    }
-
-    fn stats(&self) -> FetchStats {
-        self.stats
-    }
-}
-
-/// The compressed-program fetch path: escape detection, dictionary
-/// expansion buffer, nibble-granular PC.
-///
-/// Sequential flow inside an expanded codeword keeps the PC at the
-/// codeword's address while the buffer drains; branches always target
-/// codeword boundaries (guaranteed by the compressor), which flush the
-/// buffer.
-#[derive(Debug, Clone)]
-pub struct CompressedFetcher {
-    image: Vec<u8>,
-    encoding: codense_core::EncodingKind,
-    /// The ISA whose escape bytes introduce stream items.
-    isa: IsaRef,
-    /// Dictionary entries by codeword rank.
-    by_rank: Vec<Vec<u32>>,
-    /// Canonical Huffman decode table, rebuilt from codeword lengths
-    /// ([`codense_core::EncodingKind::Huffman`] programs only). `None` for
-    /// other encodings — or when a container carried unusable lengths, in
-    /// which case every fetch faults instead of panicking.
-    huffman: Option<HuffCode>,
-    /// Remaining instructions of the codeword being drained.
-    buffer: Vec<u32>,
-    /// Position within the draining codeword.
-    buffer_pos: usize,
-    /// PC the buffer belongs to.
-    buffer_pc: u64,
-    /// Address of the atom following the buffered codeword.
-    after_buffer: u64,
-    /// Optional on-demand dictionary cache (the paper's §3.3 alternative to
-    /// a fully on-chip dictionary): capacity in entries, plus the resident
-    /// set in LRU order (most recent last). `None` = whole dictionary
-    /// on-chip, no load traffic.
-    dict_cache: Option<(usize, Vec<u32>)>,
-    /// `next_pc` of the previous delivery, for realignment detection:
-    /// a fetch anywhere else is a control transfer. `u64::MAX` before the
-    /// first fetch (entry is conventionally aligned at 0).
-    expect_pc: u64,
-    stats: FetchStats,
-}
-
-impl CompressedFetcher {
-    /// Builds the fetch engine from a compressed program (the image and the
-    /// dictionary; atoms/addresses are not consulted — the engine parses
-    /// the byte image exactly as hardware would). The program's ISA is used
-    /// for escape detection.
-    pub fn new(program: &CompressedProgram) -> CompressedFetcher {
-        CompressedFetcher {
-            image: program.image.clone(),
-            encoding: program.encoding,
-            isa: program.isa,
-            by_rank: by_rank(program),
-            huffman: program.huffman.clone(),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            buffer_pc: u64::MAX,
-            after_buffer: 0,
-            dict_cache: None,
-            expect_pc: u64::MAX,
-            stats: FetchStats::default(),
-        }
-    }
-
-    /// Builds the fetch engine from a deserialized container image (see
-    /// `codense_core::container`): what a real decoder boots from. The
-    /// container format does not record an ISA; this assumes PowerPC (see
-    /// [`from_image_with`](Self::from_image_with)).
-    pub fn from_image(image: &codense_core::container::ProgramImage) -> CompressedFetcher {
-        CompressedFetcher::from_image_with(image, IsaRef(&codense_ppc::ISA))
-    }
-
-    /// Like [`from_image`](Self::from_image), for an explicit target ISA.
-    pub fn from_image_with(
-        image: &codense_core::container::ProgramImage,
-        isa: IsaRef,
-    ) -> CompressedFetcher {
-        CompressedFetcher {
-            image: image.image.clone(),
-            encoding: image.encoding,
-            isa,
-            by_rank: image.dictionary_by_rank.clone(),
-            // Hostile or absent lengths yield `None`; Huffman fetches then
-            // fault rather than panic.
-            huffman: HuffCode::from_nibble_lengths(image.huffman_lengths.clone()),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            buffer_pc: u64::MAX,
-            after_buffer: 0,
-            dict_cache: None,
-            expect_pc: u64::MAX,
-            stats: FetchStats::default(),
-        }
-    }
-
-    /// Configures an on-demand dictionary cache of `entries` slots (LRU).
-    ///
-    /// Models the paper's §3.3 alternative: "if the dictionary is larger,
-    /// it might be kept as a data segment of the compressed program and
-    /// each dictionary entry could be loaded as needed". Expansions of
-    /// uncached entries count [`FetchStats::dict_misses`] and charge the
-    /// entry's bytes to [`FetchStats::dict_bytes_loaded`].
-    pub fn with_dict_cache(mut self, entries: usize) -> CompressedFetcher {
-        self.dict_cache = Some((entries.max(1), Vec::new()));
-        self
-    }
-
-    /// Runs the dictionary-cache bookkeeping for an expansion of `rank`.
-    fn touch_dict(&mut self, rank: u32) {
-        let Some((capacity, resident)) = &mut self.dict_cache else { return };
-        if let Some(pos) = resident.iter().position(|&r| r == rank) {
-            resident.remove(pos);
-            resident.push(rank);
-            self.stats.dict_hits += 1;
-        } else {
-            self.stats.dict_misses += 1;
-            self.stats.dict_bytes_loaded += 4 * self.by_rank[rank as usize].len() as u64;
-            if resident.len() == *capacity {
-                resident.remove(0);
-            }
-            resident.push(rank);
-        }
-    }
-
-    fn deliver_buffered(&mut self) -> Fetched {
-        let word = self.buffer[self.buffer_pos];
-        self.buffer_pos += 1;
-        self.stats.insns += 1;
-        self.stats.expanded_insns += 1;
-        telemetry::VM_FETCH_BUFFERED_INSNS.inc();
-        let next_pc =
-            if self.buffer_pos < self.buffer.len() { self.buffer_pc } else { self.after_buffer };
-        self.expect_pc = next_pc;
-        Fetched { word, next_pc }
-    }
-}
-
-impl Fetch for CompressedFetcher {
-    fn fetch(&mut self, pc: u64) -> Result<Fetched, MachineError> {
-        // A fetch anywhere but the previous delivery's `next_pc` is a
-        // control transfer; when it lands mid-word the fetch unit must
-        // realign its nibble pointer (the cost model charges this).
-        if pc != self.expect_pc && !pc.is_multiple_of(8) {
-            self.stats.realigns += 1;
-            telemetry::VM_FETCH_REALIGNS.inc();
-        }
-        // Drain the expansion buffer while sequential flow stays on it.
-        if pc == self.buffer_pc && self.buffer_pos < self.buffer.len() {
-            return Ok(self.deliver_buffered());
-        }
-        let mut r = NibbleReader::new(&self.image);
-        r.seek(pc);
-        let before = r.pos();
-        match read_item_coded(self.encoding, self.isa, self.huffman.as_ref(), &mut r) {
-            Some(Item::Insn(word)) => {
-                self.stats.insns += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
-                // Under every encoding an uncompressed instruction in the
-                // stream is introduced by an escape prefix.
-                telemetry::VM_FETCH_ESCAPES.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
-                // Leaving any previous codeword behind.
-                self.buffer_pc = u64::MAX;
-                self.expect_pc = r.pos();
-                Ok(Fetched { word, next_pc: r.pos() })
-            }
-            Some(Item::Codeword(rank)) => {
-                let seq =
-                    self.by_rank.get(rank as usize).ok_or(MachineError::FetchFault { pc })?.clone();
-                if seq.is_empty() {
-                    return Err(MachineError::FetchFault { pc });
-                }
-                self.stats.codewords += 1;
-                self.stats.nibbles_fetched += r.pos() - before;
-                telemetry::VM_FETCH_CODEWORDS.inc();
-                telemetry::VM_FETCH_NIBBLES.add(r.pos() - before);
-                let after = r.pos();
-                self.touch_dict(rank);
-                self.buffer = seq;
-                self.buffer_pos = 0;
-                self.buffer_pc = pc;
-                self.after_buffer = after;
-                Ok(self.deliver_buffered())
-            }
-            None => Err(MachineError::FetchFault { pc }),
-        }
-    }
-
-    fn granule(&self) -> u32 {
-        self.encoding.granule_nibbles()
-    }
-
-    fn stats(&self) -> FetchStats {
-        self.stats
-    }
-}
-
-// ---- predecoded fast path -------------------------------------------------
 
 /// Cache-entry tag: offset holds an escaped (uncompressed) instruction.
 pub(crate) const TAG_INSN: u64 = 1;
@@ -404,8 +156,9 @@ pub(crate) struct RunCounters {
     pub realigns: u64,
 }
 
-/// The predecoded fetch engine: [`CompressedFetcher`] semantics behind a
-/// decoded-item cache keyed by compressed-stream offset.
+/// The predecoded fetch engine: the semantics of
+/// [`crate::reference::CompressedFetcher`] behind a decoded-item cache keyed
+/// by compressed-stream offset.
 ///
 /// Every nibble offset of the image has a cache slot. A miss parses the
 /// item at that offset exactly as the re-parsing engine would (escape
@@ -422,10 +175,7 @@ pub(crate) struct RunCounters {
 /// Flushing mid-expansion abandons the expansion buffer; the next fetch of
 /// that codeword re-parses and redelivers it from its first instruction.
 ///
-/// [`FetchStats`] and telemetry are byte-exact with the re-parsing engine
-/// under its default configuration (the dictionary-cache model of
-/// [`CompressedFetcher::with_dict_cache`] is not available here: a
-/// predecoded engine never re-touches the dictionary).
+/// [`FetchStats`] and telemetry are byte-exact with the re-parsing engine.
 #[derive(Debug, Clone)]
 pub struct PredecodedFetcher {
     /// Linear mode ([`Self::linear`]): `image` is raw big-endian text and
@@ -450,8 +200,8 @@ pub struct PredecodedFetcher {
     /// Bumped on every flush/invalidate so decoded-side mirrors (see
     /// [`crate::run::run_predecoded`]) know their pool indices died.
     generation: u64,
-    // Expansion-drain state for the `Fetch` impl, mirroring
-    // `CompressedFetcher` (start/len/pos index into `pool`).
+    // Expansion-drain state for the `Fetch` impl, mirroring the re-parsing
+    // engine's expansion buffer (start/len/pos index into `pool`).
     drain_start: usize,
     drain_len: usize,
     drain_pos: usize,
@@ -462,8 +212,8 @@ pub struct PredecodedFetcher {
 }
 
 impl PredecodedFetcher {
-    /// Builds the engine from a compressed program. Parsing state matches
-    /// [`CompressedFetcher::new`]; the cache starts empty and unbounded.
+    /// Builds the engine from a compressed program (its image, dictionary
+    /// and ISA); the cache starts empty and unbounded.
     pub fn new(program: &CompressedProgram) -> PredecodedFetcher {
         PredecodedFetcher::from_parts(
             program.image.clone(),
@@ -475,8 +225,9 @@ impl PredecodedFetcher {
     }
 
     /// Builds the engine from a deserialized container image for an
-    /// explicit target ISA (the predecoded counterpart of
-    /// [`CompressedFetcher::from_image_with`]).
+    /// explicit target ISA (the container format does not record one): what
+    /// a real decoder boots from. Hostile or absent Huffman lengths leave
+    /// no decode table, so every Huffman fetch faults instead of panicking.
     pub fn from_image_with(
         image: &codense_core::container::ProgramImage,
         isa: IsaRef,
@@ -490,11 +241,10 @@ impl PredecodedFetcher {
         )
     }
 
-    /// Builds the engine over uncompressed text: the predecoded counterpart
-    /// of [`LinearFetcher::new`] (instruction `i` at nibble address `8 * i`,
-    /// granule 8). Fetches, faults, [`FetchStats`] and telemetry
-    /// (`vm.fetch.linear_insns`, 8 nibbles per instruction, no realigns)
-    /// match [`LinearFetcher`].
+    /// Builds the engine over uncompressed text (instruction `i` at nibble
+    /// address `8 * i`, granule 8). Fetches, faults, [`FetchStats`] and
+    /// telemetry (`vm.fetch.linear_insns`, 8 nibbles per instruction, no
+    /// realigns) match [`crate::reference::LinearFetcher`].
     pub fn linear(code: Vec<u32>) -> PredecodedFetcher {
         let image = code.iter().flat_map(|w| w.to_be_bytes()).collect();
         // Linear mode never parses: the stream parameters are placeholders.
@@ -767,11 +517,17 @@ impl Fetch for PredecodedFetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
+    use crate::reference::CompressedFetcher;
+    use crate::run::run_predecoded;
+    use codense_core::container::{deserialize, serialize, ProgramImage};
     use codense_core::{CompressionConfig, Compressor};
     use codense_obj::ObjectModule;
     use codense_ppc::encode;
     use codense_ppc::insn::Insn;
     use codense_ppc::reg::*;
+
+    const PPC: IsaRef = IsaRef(&codense_ppc::ISA);
 
     fn module() -> ObjectModule {
         let mut m = ObjectModule::new("t");
@@ -783,47 +539,28 @@ mod tests {
         m
     }
 
-    #[test]
-    fn linear_fetch_walks_words() {
-        let m = module();
-        let mut f = LinearFetcher::new(m.code.clone());
-        let f0 = f.fetch(0).unwrap();
-        assert_eq!(f0.next_pc, 8);
-        assert_eq!(f0.word, encode(&Insn::Addi { rt: R3, ra: R3, si: 1 }));
-        assert!(f.fetch(4).is_err(), "misaligned fetch must fault");
-        assert!(f.fetch(8 * 100).is_err());
-        assert_eq!(f.stats().insns, 1);
+    fn container_image(config: CompressionConfig) -> ProgramImage {
+        let c = Compressor::new(config).compress(&module()).unwrap();
+        deserialize(&serialize(&c)).unwrap()
     }
 
-    #[test]
-    fn compressed_fetch_delivers_same_stream() {
-        let m = module();
-        for config in [
-            CompressionConfig::baseline(),
-            CompressionConfig::small_dictionary(16),
-            CompressionConfig::nibble_aligned(),
-            CompressionConfig::huffman(),
-        ] {
-            let c = Compressor::new(config).compress(&m).unwrap();
-            let mut f = CompressedFetcher::new(&c);
-            let mut pc = 0;
-            let mut got = Vec::new();
-            for _ in 0..m.len() {
-                let fetched = f.fetch(pc).unwrap();
-                got.push(fetched.word);
-                pc = fetched.next_pc;
-            }
-            assert_eq!(got, m.code);
-        }
+    /// Fetching at `pc` must fault — never panic — on the re-parsing
+    /// engine and on the production engine booted from the same container
+    /// image, both through [`Fetch`] and through the threaded-dispatch loop.
+    fn assert_faults_everywhere(image: &ProgramImage, pc: u64) {
+        assert!(CompressedFetcher::from_image_with(image, PPC).fetch(pc).is_err());
+        assert!(PredecodedFetcher::from_image_with(image, PPC).fetch(pc).is_err());
+        let mut fetch = PredecodedFetcher::from_image_with(image, PPC);
+        let got = run_predecoded(&mut Machine::new(4096), &mut fetch, pc, 100);
+        assert!(matches!(got, Err(MachineError::FetchFault { .. })), "{got:?}");
+        assert_eq!(fetch.cached_items(), 0);
     }
 
     #[test]
     fn huffman_fetch_from_container_image() {
         let m = module();
-        let c = Compressor::new(CompressionConfig::huffman()).compress(&m).unwrap();
-        let image =
-            codense_core::container::deserialize(&codense_core::container::serialize(&c)).unwrap();
-        let mut f = CompressedFetcher::from_image(&image);
+        let image = container_image(CompressionConfig::huffman());
+        let mut f = PredecodedFetcher::from_image_with(&image, PPC);
         let mut pc = 0;
         let mut got = Vec::new();
         for _ in 0..m.len() {
@@ -836,22 +573,18 @@ mod tests {
 
     #[test]
     fn huffman_fetch_with_hostile_lengths_faults_instead_of_panicking() {
-        let m = module();
-        let c = Compressor::new(CompressionConfig::huffman()).compress(&m).unwrap();
-        let mut image =
-            codense_core::container::deserialize(&codense_core::container::serialize(&c)).unwrap();
+        let mut image = container_image(CompressionConfig::huffman());
         // Kraft-violating table: more length-1 codes than nibble values.
         image.huffman_lengths = vec![1; 17];
-        let mut f = CompressedFetcher::from_image(&image);
-        assert!(f.fetch(0).is_err());
+        assert_faults_everywhere(&image, 0);
     }
 
     #[test]
     fn compressed_fetch_uses_less_bandwidth() {
         let m = module();
         let c = Compressor::new(CompressionConfig::baseline()).compress(&m).unwrap();
-        let mut lf = LinearFetcher::new(m.code.clone());
-        let mut cf = CompressedFetcher::new(&c);
+        let mut lf = PredecodedFetcher::linear(m.code.clone());
+        let mut cf = PredecodedFetcher::new(&c);
         let (mut lp, mut cp) = (0u64, 0u64);
         for _ in 0..m.len() {
             lp = lf.fetch(lp).unwrap().next_pc;
@@ -864,9 +597,9 @@ mod tests {
 
     #[test]
     fn fetch_fault_on_garbage_pc() {
-        let m = module();
-        let c = Compressor::new(CompressionConfig::nibble_aligned()).compress(&m).unwrap();
-        let mut f = CompressedFetcher::new(&c);
-        assert!(f.fetch(c.total_nibbles + 10).is_err());
+        let image = container_image(CompressionConfig::nibble_aligned());
+        for pc in [2 * image.image.len() as u64 + 10, 1 << 40, u64::MAX] {
+            assert_faults_everywhere(&image, pc);
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! sorting, hashing) used to prove that compressed programs execute
 //! identically to their originals on the [`crate::machine::Machine`].
 
+use codense_isa::Core;
 use codense_obj::ObjectModule;
 use codense_ppc::asm::Assembler;
 use codense_ppc::insn::Insn;
@@ -21,15 +22,23 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Writes the kernel's input data into a machine's memory.
+    /// Writes the kernel's input data into a core's data memory.
     ///
     /// # Panics
     ///
-    /// Panics if an init region exceeds the machine's memory.
-    pub fn apply_init(&self, machine: &mut crate::machine::Machine) {
+    /// Panics if an init region exceeds the core's memory.
+    pub fn apply_init(&self, core: &mut dyn Core) {
         for (addr, bytes) in &self.init_mem {
-            let a = *addr as usize;
-            machine.mem[a..a + bytes.len()].copy_from_slice(bytes);
+            for (i, chunk) in bytes.chunks(4).enumerate() {
+                let at = addr + 4 * i as u32;
+                // A short tail keeps the memory bytes it does not cover.
+                let mut word = [0u8; 4];
+                if chunk.len() < 4 {
+                    word.copy_from_slice(&core.mem_bytes()[at as usize..at as usize + 4]);
+                }
+                word[..chunk.len()].copy_from_slice(chunk);
+                core.write32(at, u32::from_be_bytes(word)).expect("init region fits memory");
+            }
         }
     }
 }
@@ -560,17 +569,17 @@ pub fn all() -> Vec<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::LinearFetcher;
+    use crate::fetch::PredecodedFetcher;
     use crate::machine::Machine;
-    use crate::run::run;
+    use crate::run::run_predecoded;
 
     #[test]
     fn kernels_produce_expected_results_uncompressed() {
         for k in all() {
             let mut machine = Machine::new(1 << 20);
             k.apply_init(&mut machine);
-            let mut fetch = LinearFetcher::new(k.module.code.clone());
-            let result = run(&mut machine, &mut fetch, 0, 1_000_000)
+            let mut fetch = PredecodedFetcher::linear(k.module.code.clone());
+            let result = run_predecoded(&mut machine, &mut fetch, 0, 1_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", k.name));
             assert_eq!(result.exit_code, k.expected, "kernel {}", k.name);
         }

@@ -1,16 +1,15 @@
-//! The execution loops gluing a [`Core`] to a fetch engine: the generic
-//! per-step loop ([`run`]) and the predecoded threaded-dispatch loop
-//! ([`run_predecoded`]) that makes SPEC-scale corpus programs runnable.
+//! The production execution loop gluing a [`PredecodeCore`] to the
+//! [`PredecodedFetcher`]: a threaded-dispatch loop that makes SPEC-scale
+//! corpus programs runnable.
 //!
-//! The predecoded loop is the production engine for both fetch domains
-//! ([`PredecodedFetcher::linear`] for uncompressed text). Profiling and
-//! cycle scoring watch it through [`run_predecoded_with`]'s per-step
-//! observer, which sees each executed instruction's PC and the program
-//! memory it consumed; [`run`] remains for the re-parsing reference
-//! engines.
+//! It serves both fetch domains ([`PredecodedFetcher::linear`] for
+//! uncompressed text). Profiling and cycle scoring watch it through
+//! [`run_predecoded_with`]'s per-step observer, which sees each executed
+//! instruction's PC and the program memory it consumed. The re-parsing
+//! per-step loop it is checked against is [`crate::reference::run`].
 
 use crate::fetch::{Fetch, FetchStats, PredecodedFetcher, RunCounters};
-use crate::machine::{Core, MachineError, Outcome};
+use crate::machine::{MachineError, Outcome};
 use codense_isa::PredecodeCore;
 
 /// Result of a completed run.
@@ -24,41 +23,11 @@ pub struct RunResult {
     pub stats: FetchStats,
 }
 
-/// Runs until the core halts or the step budget is exhausted.
+/// The predecoded threaded-dispatch loop: [`crate::reference::run`]
+/// semantics at a fraction of the per-step cost.
 ///
-/// # Errors
-///
-/// Propagates any [`MachineError`]; [`MachineError::StepLimit`] if the
-/// program does not halt within `max_steps`.
-pub fn run(
-    core: &mut dyn Core,
-    fetch: &mut dyn Fetch,
-    entry: u64,
-    max_steps: u64,
-) -> Result<RunResult, MachineError> {
-    let mut pc = entry;
-    for step in 0..max_steps {
-        let fetched = fetch.fetch(pc)?;
-        match core.step_word(fetched.word, pc, fetched.next_pc, fetch.granule())? {
-            Outcome::Next => pc = fetched.next_pc,
-            Outcome::Branch(target) => pc = target,
-            Outcome::Halt => {
-                return Ok(RunResult {
-                    exit_code: core.exit_code(),
-                    steps: step + 1,
-                    stats: fetch.stats(),
-                })
-            }
-        }
-    }
-    Err(MachineError::StepLimit)
-}
-
-/// The predecoded threaded-dispatch loop: [`run`] semantics at a fraction
-/// of the per-step cost.
-///
-/// Three costs are hoisted out of the step cycle relative to
-/// [`run`]-over-[`crate::fetch::CompressedFetcher`]:
+/// Three costs are hoisted out of the step cycle relative to the reference
+/// loop over [`crate::reference::CompressedFetcher`]:
 ///
 /// * **parse** — items are replayed from the fetcher's decoded-item cache
 ///   (first touch parses and fills, exactly like the `Fetch` impl);
@@ -77,7 +46,8 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// Exactly as [`run`]: any [`MachineError`] the program raises, or
+/// Exactly as [`crate::reference::run`]: any [`MachineError`] the program
+/// raises, or
 /// [`MachineError::StepLimit`] if it does not halt within `max_steps`.
 /// Stats and telemetry are flushed before the error propagates.
 pub fn run_predecoded<C: PredecodeCore>(
@@ -220,7 +190,6 @@ pub fn run_predecoded_with<C: PredecodeCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::LinearFetcher;
     use crate::machine::Machine;
     use codense_ppc::asm::Assembler;
     use codense_ppc::insn::Insn;
@@ -231,10 +200,8 @@ mod tests {
         let mut a = Assembler::new();
         a.emit(Insn::Addi { rt: R3, ra: R0, si: 42 });
         a.emit(Insn::Sc);
-        let code = a.finish().unwrap();
-        let mut machine = Machine::new(4096);
-        let mut fetch = LinearFetcher::new(code);
-        let result = run(&mut machine, &mut fetch, 0, 100).unwrap();
+        let mut fetch = PredecodedFetcher::linear(a.finish().unwrap());
+        let result = run_predecoded(&mut Machine::new(4096), &mut fetch, 0, 100).unwrap();
         assert_eq!(result.exit_code, 42);
         assert_eq!(result.steps, 2);
     }
@@ -275,9 +242,8 @@ mod tests {
         let mut a = Assembler::new();
         a.label("x");
         a.b("x");
-        let code = a.finish().unwrap();
-        let mut machine = Machine::new(4096);
-        let mut fetch = LinearFetcher::new(code);
-        assert_eq!(run(&mut machine, &mut fetch, 0, 50), Err(MachineError::StepLimit));
+        let mut fetch = PredecodedFetcher::linear(a.finish().unwrap());
+        let got = run_predecoded(&mut Machine::new(4096), &mut fetch, 0, 50);
+        assert_eq!(got, Err(MachineError::StepLimit));
     }
 }

@@ -9,7 +9,7 @@ use codense_obj::ObjectModule;
 use codense_ppc::asm::Assembler;
 use codense_ppc::insn::Insn;
 use codense_ppc::reg::*;
-use codense_vm::{fetch::CompressedFetcher, machine::Machine, run::run, LinearFetcher};
+use codense_vm::{machine::Machine, run_predecoded, PredecodedFetcher};
 
 /// A program where `beq` must skip ~1200 unique instructions: under the
 /// nibble scheme that is > 8192 nibbles, beyond the 14-bit field at 4-bit
@@ -54,8 +54,8 @@ fn overflow_dispatch_executes_correctly() {
         // Reference run (uncompressed).
         let mut ref_machine = Machine::new(0x70_0000);
         ref_machine.gpr[4] = r4;
-        let mut ref_fetch = LinearFetcher::new(m.code.clone());
-        let reference = run(&mut ref_machine, &mut ref_fetch, 0, 100_000).unwrap();
+        let mut ref_fetch = PredecodedFetcher::linear(m.code.clone());
+        let reference = run_predecoded(&mut ref_machine, &mut ref_fetch, 0, 100_000).unwrap();
 
         // Compressed run: install the overflow table at its architected
         // .data address before starting.
@@ -65,8 +65,8 @@ fn overflow_dispatch_executes_correctly() {
         for (slot, &addr) in c.overflow_table.iter().enumerate() {
             machine.store32(table_base + 4 * slot as u32, addr as u32).unwrap();
         }
-        let mut fetch = CompressedFetcher::new(&c);
-        let result = run(&mut machine, &mut fetch, 0, 100_000).unwrap();
+        let mut fetch = PredecodedFetcher::new(&c);
+        let result = run_predecoded(&mut machine, &mut fetch, 0, 100_000).unwrap();
 
         assert_eq!(result.exit_code, reference.exit_code, "r4 = {r4}");
         assert_eq!(reference.exit_code, if r4 == 0 { 222 } else { 111 });

@@ -16,9 +16,10 @@ use codense_fuzz::gen::{generate_spec, GenConfig};
 use codense_fuzz::mips::generate_mips;
 use codense_fuzz::spec::{build, MEM_BYTES};
 use codense_isa::IsaRef;
-use codense_vm::fetch::{CompressedFetcher, Fetch, FetchStats, PredecodedFetcher};
+use codense_vm::fetch::{Fetch, FetchStats, PredecodedFetcher};
 use codense_vm::machine::MachineError;
-use codense_vm::{run, run_predecoded, Machine, RunResult};
+use codense_vm::reference::{run, CompressedFetcher};
+use codense_vm::{run_predecoded, Machine, RunResult};
 
 const MAX_STEPS: u64 = 2_000_000;
 
@@ -118,9 +119,6 @@ fn scaled(stats: FetchStats, n: u64) -> FetchStats {
         nibbles_fetched: stats.nibbles_fetched * n,
         codewords: stats.codewords * n,
         expanded_insns: stats.expanded_insns * n,
-        dict_hits: 0,
-        dict_misses: 0,
-        dict_bytes_loaded: 0,
         realigns: stats.realigns * n,
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use codense::prelude::*;
-use codense::vm::{kernels, run::run};
+use codense::vm::kernels;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("kernel        encoding   exit     steps    bits/insn fetched");
@@ -17,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Reference: uncompressed execution.
         let mut machine = Machine::new(1 << 20);
         kernel.apply_init(&mut machine);
-        let mut fetch = LinearFetcher::new(kernel.module.code.clone());
-        let reference = run(&mut machine, &mut fetch, 0, 10_000_000)?;
+        let mut fetch = PredecodedFetcher::linear(kernel.module.code.clone());
+        let reference = run_predecoded(&mut machine, &mut fetch, 0, 10_000_000)?;
         println!(
             "{:12}  {:9}  {:7}  {:7}  {:.2}",
             kernel.name,
@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
             let mut machine = Machine::new(1 << 20);
             kernel.apply_init(&mut machine);
-            let mut fetch = CompressedFetcher::new(&compressed);
-            let result = run(&mut machine, &mut fetch, 0, 10_000_000)?;
+            let mut fetch = PredecodedFetcher::new(&compressed);
+            let result = run_predecoded(&mut machine, &mut fetch, 0, 10_000_000)?;
             assert_eq!(result.exit_code, reference.exit_code, "{} {tag}", kernel.name);
             assert_eq!(result.steps, reference.steps, "{} {tag}", kernel.name);
             println!(

@@ -26,15 +26,31 @@ cargo fmt --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "==> fuzz smoke (500 cases)"
 ./target/release/codense fuzz --cases 500 --seed 1
 
 echo "==> cross-ISA fuzz smoke (mips, 500 cases)"
 ./target/release/codense fuzz --isa mips --cases 500 --seed 1
 
+echo "==> cross-ISA hybrid fuzz smoke (mips --hybrid, 500 cases)"
+./target/release/codense fuzz --isa mips --hybrid --cases 500 --seed 1
+
+echo "==> cross-ISA fuzz determinism (mips report + counters, --jobs 1 vs --jobs 8)"
+# One oracle and one campaign driver serve both ISAs; the MIPS report
+# (lockstep, self-test and fault-injection lines) and its counters must
+# not depend on the worker count.
+for j in 1 8; do
+    ./target/release/codense --jobs "$j" --metrics "$tmp/fuzz-mips-$j.json" \
+        fuzz --isa mips --cases 200 --seed 1 > "$tmp/fuzz-mips-$j.out"
+    sed -n '/"counters"/,/}/p' "$tmp/fuzz-mips-$j.json" > "$tmp/fuzz-mips-$j.counters"
+done
+diff -u "$tmp/fuzz-mips-1.out" "$tmp/fuzz-mips-8.out"
+diff -u "$tmp/fuzz-mips-1.counters" "$tmp/fuzz-mips-8.counters"
+
 echo "==> metrics determinism smoke (repro, --jobs 1 vs --jobs 8)"
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 ./target/release/codense repro --jobs 1 --metrics "$tmp/j1.json" >/dev/null
 ./target/release/codense repro --jobs 8 --metrics "$tmp/j8.json" >/dev/null
 # Compare only the counters section; timings are wall-clock and may differ.
