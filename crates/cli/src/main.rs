@@ -1069,7 +1069,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
 
 /// Profiles the kernel benchmark suite and renders the schema-1 artifact.
 fn cmd_profile(args: &[String]) -> CliResult {
-    use codense_profile::{bench, collect_subject, render_profiles_json, Subject};
+    use codense_profile::{bench, collect_subject, fetch_events, render_profiles_json, Subject};
     let encoding_name = flag_value(args, "--encoding").unwrap_or("nibble");
     let encoding = parse_encoding(encoding_name)?;
     let max_steps: u64 = match flag_value(args, "--max-steps") {
@@ -1089,7 +1089,9 @@ fn cmd_profile(args: &[String]) -> CliResult {
         (None, None) => bench::benches().iter().map(Subject::from_kernel).collect(),
     };
     let profiles = codense_core::parallel::par_map(subjects, |_, s| {
-        collect_subject(&s, encoding, max_steps).map_err(|e| format!("{}: {e}", s.name))
+        let profile = collect_subject(&s, encoding, max_steps)
+            .and_then(|p| fetch_events(&s, &p, max_steps).map(|f| (p, f)));
+        profile.map_err(|e| format!("{}: {e}", s.name))
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
@@ -1097,7 +1099,7 @@ fn cmd_profile(args: &[String]) -> CliResult {
     match flag_value(args, "--out") {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-            for p in &profiles {
+            for (p, _) in &profiles {
                 println!(
                     "{:<12} {:>6} insns, {:>7} steps, {:>3} blocks executed of {}",
                     p.bench,

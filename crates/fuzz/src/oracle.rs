@@ -397,8 +397,13 @@ pub fn lockstep_with(
                 }
                 let (nm, cm) = (native.mem_bytes(), comp.mem_bytes());
                 let skipped = |addr: usize| mask.mem_skip.iter().any(|r| r.contains(&addr));
-                let differs =
-                    nm.iter().zip(cm).enumerate().find(|&(a, (n, c))| n != c && !skipped(a));
+                // Equal memories are the common case; one slice compare
+                // settles it before the masked byte search.
+                let differs = if nm == cm {
+                    None
+                } else {
+                    nm.iter().zip(cm).enumerate().find(|&(a, (n, c))| n != c && !skipped(a))
+                };
                 if let Some((addr, _)) = differs {
                     return diverge(
                         DivergenceKind::MemMismatch,

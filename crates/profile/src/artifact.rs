@@ -2,9 +2,12 @@
 //! deterministic schema-1 JSON rendering.
 //!
 //! The artifact carries only scheduling-invariant data — execution counts
-//! and fetch-path event totals from deterministic VM runs — so the rendered
+//! from the profile's native run and the fetch-path event totals of
+//! [`crate::fetch_events`], both deterministic VM runs — so the rendered
 //! JSON is byte-identical at any `--jobs` value (`scripts/verify.sh` pins
 //! this with a byte comparison between `--jobs 1` and `--jobs 8`).
+
+use codense_core::EncodingKind;
 
 /// Execution statistics of one basic block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,12 +23,12 @@ pub struct BlockStat {
     pub weight: u64,
 }
 
-/// Fetch-path event totals: the native reference run plus a reference
-/// compressed run under the profiled encoding.
+/// Fetch-path event totals of a reference compressed run under the
+/// profiled encoding ([`crate::fetch_events`]). The artifact's native
+/// fetch count, `linear_insns`, is the profile's `steps`: a completed
+/// linear run fetches each executed instruction once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchEvents {
-    /// Native fetches (instructions delivered by the linear front end).
-    pub linear_insns: u64,
     /// Escape decodes: uncompressed instructions parsed out of the
     /// compressed stream behind an escape prefix.
     pub escapes: u64,
@@ -45,6 +48,8 @@ pub struct FetchEvents {
 pub struct Profile {
     /// Benchmark name.
     pub bench: String,
+    /// The encoding the profile was collected for.
+    pub encoding: EncodingKind,
     /// Static instruction count of the module.
     pub insns: usize,
     /// Dynamic instructions executed by the native reference run.
@@ -56,8 +61,6 @@ pub struct Profile {
     pub counts: Vec<u64>,
     /// Per-basic-block statistics, in program order.
     pub blocks: Vec<BlockStat>,
-    /// Fetch-path event totals.
-    pub fetch: FetchEvents,
 }
 
 impl Profile {
@@ -67,13 +70,14 @@ impl Profile {
     }
 }
 
-/// Renders profiles as the schema-1 artifact: sorted keys, fixed
-/// indentation, per-instruction counts as sparse `[index, count]` pairs.
-pub fn render_profiles_json(profiles: &[Profile], encoding: &str) -> String {
+/// Renders profiles, each with its fetch-path event totals, as the
+/// schema-1 artifact: sorted keys, fixed indentation, per-instruction
+/// counts as sparse `[index, count]` pairs.
+pub fn render_profiles_json(profiles: &[(Profile, FetchEvents)], encoding: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benches\": [\n");
-    for (pi, p) in profiles.iter().enumerate() {
+    for (pi, (p, f)) in profiles.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"bench\": \"{}\",\n", p.bench));
         out.push_str("      \"blocks\": [\n");
@@ -97,11 +101,10 @@ pub fn render_profiles_json(profiles: &[Profile], encoding: &str) -> String {
             .collect();
         out.push_str(&format!("      \"counts\": [{}],\n", nonzero.join(", ")));
         out.push_str(&format!("      \"exit\": {},\n", p.exit));
-        let f = p.fetch;
         out.push_str(&format!(
             "      \"fetch\": {{ \"codewords\": {}, \"escapes\": {}, \"expanded_insns\": {}, \
              \"linear_insns\": {}, \"nibbles\": {}, \"realigns\": {} }},\n",
-            f.codewords, f.escapes, f.expanded_insns, f.linear_insns, f.nibbles, f.realigns
+            f.codewords, f.escapes, f.expanded_insns, p.steps, f.nibbles, f.realigns
         ));
         out.push_str(&format!("      \"insns\": {},\n", p.insns));
         out.push_str(&format!("      \"steps\": {}\n", p.steps));
@@ -129,19 +132,20 @@ mod tests {
                 BlockStat { start: 0, end: 1, entries: 1, weight: 1 },
                 BlockStat { start: 1, end: 4, entries: 3, weight: 6 },
             ],
-            fetch: FetchEvents { linear_insns: 7, ..FetchEvents::default() },
+            encoding: EncodingKind::NibbleAligned,
         }
     }
 
     #[test]
     fn rendering_is_deterministic_and_sparse() {
-        let p = vec![sample()];
+        let p = vec![(sample(), FetchEvents::default())];
         let a = render_profiles_json(&p, "nibble");
         let b = render_profiles_json(&p, "nibble");
         assert_eq!(a, b);
         assert!(a.contains("\"counts\": [[0, 1], [1, 3], [2, 3]]"), "{a}");
         assert!(a.contains("\"schema\": 1"));
         assert!(a.contains("\"encoding\": \"nibble\""));
+        assert!(a.contains("\"linear_insns\": 7,"), "{a}");
     }
 
     #[test]

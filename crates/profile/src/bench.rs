@@ -86,11 +86,7 @@ pub fn benches() -> Vec<Kernel> {
 
 /// One benchmark by kernel name.
 pub fn bench(name: &str) -> Option<Kernel> {
-    kernels::all()
-        .into_iter()
-        .enumerate()
-        .find(|(_, k)| k.name == name)
-        .map(|(i, k)| pad(k, i as u64))
+    benches().into_iter().find(|k| k.name == name)
 }
 
 #[cfg(test)]

@@ -63,15 +63,13 @@ impl From<codense_core::VerifyError> for ProfileError {
     }
 }
 
-/// Profiles one benchmark: an observed native run for per-instruction and
-/// per-block execution counts, plus a reference fully-compressed run under
-/// `encoding` for the fetch-path event totals (escape decodes, codeword
-/// expansions, nibble traffic, realignments).
+/// Profiles one benchmark: an observed native run that records
+/// per-instruction and per-basic-block execution counts, for `encoding`
+/// (recorded in the [`Profile`]; [`fetch_events`] compresses under it).
 ///
 /// # Errors
 ///
-/// [`ProfileError`] if either run faults, exceeds `max_steps`, or exits
-/// with the wrong code, or if the reference compression fails.
+/// As [`collect_subject`].
 pub fn collect(
     kernel: &Kernel,
     encoding: EncodingKind,
@@ -81,12 +79,13 @@ pub fn collect(
 }
 
 /// [`collect`] generalized to any [`Subject`], including jump-table-bearing
-/// corpus programs whose table seeds differ per fetch domain.
+/// corpus programs whose table seeds differ per fetch domain. Only the
+/// native run happens here: no compression, no compressed run.
 ///
 /// # Errors
 ///
-/// [`ProfileError`] if either run faults, exceeds `max_steps`, or exits
-/// with the wrong code, or if the reference compression fails.
+/// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
+/// the wrong code.
 pub fn collect_subject(
     subject: &Subject,
     encoding: EncodingKind,
@@ -95,7 +94,6 @@ pub fn collect_subject(
     telemetry::PROFILE_RUNS.inc();
     let _phase = telemetry::phase("profile");
 
-    // Native reference run with per-instruction counting.
     let mut counts = vec![0u64; subject.module.len()];
     let native = run_predecoded_with(
         &mut subject.machine_native(),
@@ -104,34 +102,7 @@ pub fn collect_subject(
         max_steps,
         |pc, _| counts[(pc / 8) as usize] += 1,
     )?;
-    if native.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: native.exit_code, want: subject.expected });
-    }
-
-    // Reference compressed run: where the fetch-path events come from.
-    let config =
-        CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-    let compressed = Compressor::new(config).compress(&subject.module)?;
-    let creference = run_predecoded(
-        &mut subject.machine_compressed(&compressed),
-        &mut PredecodedFetcher::new(&compressed),
-        0,
-        max_steps,
-    )?;
-    if creference.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: creference.exit_code, want: subject.expected });
-    }
-    let cstats = creference.stats;
-    let fetch_events = FetchEvents {
-        linear_insns: native.stats.insns,
-        // Every uncompressed instruction in the packed stream carries an
-        // escape prefix, under all three encodings.
-        escapes: cstats.insns - cstats.expanded_insns,
-        codewords: cstats.codewords,
-        expanded_insns: cstats.expanded_insns,
-        nibbles: cstats.nibbles_fetched,
-        realigns: cstats.realigns,
-    };
+    check_exit(subject, native.exit_code)?;
 
     let blocks: Vec<BlockStat> = BasicBlocks::compute(&subject.module)
         .blocks()
@@ -148,13 +119,59 @@ pub fn collect_subject(
 
     Ok(Profile {
         bench: subject.name.clone(),
+        encoding,
         insns: subject.module.len(),
         steps: native.steps,
         exit: native.exit_code,
         counts,
         blocks,
-        fetch: fetch_events,
     })
+}
+
+/// The fetch-path event totals behind the `codense profile` artifact: a
+/// reference compression of `subject` under `profile.encoding`, run to its
+/// halt. Hybrid selection needs only the counts and never pays for this.
+///
+/// # Errors
+///
+/// [`ProfileError`] if the compression fails, or the compressed run faults,
+/// exceeds `max_steps`, or exits with the wrong code.
+pub fn fetch_events(
+    subject: &Subject,
+    profile: &Profile,
+    max_steps: u64,
+) -> Result<FetchEvents, ProfileError> {
+    let _phase = telemetry::phase("fetch_events");
+    let compressed = Compressor::new(config_for(profile.encoding)).compress(&subject.module)?;
+    let run = run_predecoded(
+        &mut subject.machine_compressed(&compressed),
+        &mut PredecodedFetcher::new(&compressed),
+        0,
+        max_steps,
+    )?;
+    check_exit(subject, run.exit_code)?;
+    let s = run.stats;
+    Ok(FetchEvents {
+        // Every uncompressed instruction in the packed stream carries an
+        // escape prefix, under all three encodings.
+        escapes: s.insns - s.expanded_insns,
+        codewords: s.codewords,
+        expanded_insns: s.expanded_insns,
+        nibbles: s.nibbles_fetched,
+        realigns: s.realigns,
+    })
+}
+
+/// The configuration every profile-guided compression uses under
+/// `encoding`: 4-instruction entries, the encoding's full codeword space.
+pub(crate) fn config_for(encoding: EncodingKind) -> CompressionConfig {
+    CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding }
+}
+
+/// `Ok` when a run halted with the subject's expected exit code.
+pub(crate) fn check_exit(subject: &Subject, got: u32) -> Result<(), ProfileError> {
+    let want = subject.expected;
+    (got == want).then_some(()).ok_or(ProfileError::WrongExit { got, want })
 }
 
 #[cfg(test)]
@@ -169,9 +186,10 @@ mod tests {
         assert_eq!(p.exit, kernel.expected);
         assert_eq!(p.total_weight(), p.steps);
         assert_eq!(p.counts.iter().sum::<u64>(), p.steps);
-        assert_eq!(p.fetch.linear_insns, p.steps);
+        assert_eq!(p.encoding, EncodingKind::NibbleAligned);
+        let f = fetch_events(&Subject::from_kernel(&kernel), &p, 1_000_000).unwrap();
         // The compressed run executes the same dynamic path.
-        assert_eq!(p.fetch.escapes + p.fetch.expanded_insns, p.steps);
+        assert_eq!(f.escapes + f.expanded_insns, p.steps);
         // The cold tail never executes.
         let plain = codense_vm::kernels::all().into_iter().find(|k| k.name == "fib").unwrap();
         assert!(p.counts[plain.module.len()..].iter().all(|&c| c == 0));

@@ -20,7 +20,7 @@ use codense_core::CompressedProgram;
 use codense_vm::kernels::Kernel;
 use codense_vm::{run_predecoded_with, Machine, PredecodedFetcher};
 
-use crate::collect::ProfileError;
+use crate::collect::{check_exit, ProfileError};
 use crate::subject::Subject;
 
 /// Per-event cycle costs and the modeled I-cache geometry.
@@ -99,9 +99,7 @@ fn score_run(
     let r = run_predecoded_with(&mut machine, &mut fetch, 0, max_steps, |pc, nibbles| {
         cache.access_nibbles(pc, nibbles)
     })?;
-    if r.exit_code != subject.expected {
-        return Err(ProfileError::WrongExit { got: r.exit_code, want: subject.expected });
-    }
+    check_exit(subject, r.exit_code)?;
     let (s, cache) = (r.stats, cache.finish());
     let escapes = if packed { s.insns - s.expanded_insns } else { 0 };
     Ok(Score {
@@ -125,8 +123,7 @@ fn score_run(
 ///
 /// # Errors
 ///
-/// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
-/// the wrong code.
+/// As [`score_native_subject`].
 pub fn score_native(
     kernel: &Kernel,
     params: &CostParams,
@@ -155,8 +152,7 @@ pub fn score_native_subject(
 ///
 /// # Errors
 ///
-/// [`ProfileError`] if the run faults, exceeds `max_steps`, or exits with
-/// the wrong code.
+/// As [`score_compressed_subject`].
 pub fn score_compressed(
     kernel: &Kernel,
     program: &CompressedProgram,

@@ -87,7 +87,8 @@ pub fn hot_mask(profile: &Profile, policy: HotnessPolicy) -> HotMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{BlockStat, FetchEvents};
+    use crate::artifact::BlockStat;
+    use codense_core::EncodingKind;
 
     fn profile(weights: &[u64]) -> Profile {
         let blocks: Vec<BlockStat> = weights
@@ -97,12 +98,12 @@ mod tests {
             .collect();
         Profile {
             bench: "synthetic".into(),
+            encoding: EncodingKind::NibbleAligned,
             insns: 2 * weights.len(),
             steps: weights.iter().sum(),
             exit: 0,
             counts: weights.iter().flat_map(|&w| [w / 2, w - w / 2]).collect(),
             blocks,
-            fetch: FetchEvents::default(),
         }
     }
 
@@ -143,15 +144,7 @@ mod tests {
 
     #[test]
     fn empty_profile_yields_empty_mask() {
-        let p = Profile {
-            bench: "empty".into(),
-            insns: 0,
-            steps: 0,
-            exit: 0,
-            counts: vec![],
-            blocks: vec![],
-            fetch: FetchEvents::default(),
-        };
+        let p = profile(&[]);
         for policy in [HotnessPolicy::Threshold(1), HotnessPolicy::TopCoverage(0.5)] {
             let m = hot_mask(&p, policy);
             assert!(m.hot_blocks.is_empty());

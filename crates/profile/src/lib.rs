@@ -9,10 +9,11 @@
 //!
 //! * [`collect`] — the execution profiler: runs a benchmark natively under
 //!   the predecoded VM's per-step observer and records per-instruction and
-//!   per-basic-block execution counts, plus the fetch-path event counts (escape decodes,
+//!   per-basic-block execution counts in a deterministic [`Profile`].
+//!   [`fetch_events`] adds the fetch-path event counts (escape decodes,
 //!   codeword expansions, nibble-PC realignments) of a reference compressed
-//!   run. The result is a deterministic [`Profile`] artifact rendered as
-//!   schema-1 sorted-key JSON ([`render_profiles_json`]).
+//!   run; `codense profile` renders both as schema-1 sorted-key JSON
+//!   ([`render_profiles_json`]).
 //! * [`hotness`] — the hot/cold partitioning policy: a [`HotnessPolicy`]
 //!   (absolute weight threshold or top-K% dynamic coverage) turns a profile
 //!   into a block-aligned exemption mask for
@@ -38,7 +39,7 @@ pub mod subject;
 pub mod sweep;
 
 pub use artifact::{render_profiles_json, BlockStat, FetchEvents, Profile};
-pub use collect::{collect, collect_subject, ProfileError, MEM_BYTES};
+pub use collect::{collect, collect_subject, fetch_events, ProfileError, MEM_BYTES};
 pub use cost::{
     score_compressed, score_compressed_subject, score_native, score_native_subject, CostParams,
     Score,

@@ -54,14 +54,9 @@ impl Subject {
     ///
     /// Panics if an init region or table lies outside the machine's memory.
     pub fn machine_native(&self) -> Machine {
-        let mut m = self.machine_base();
-        for (t, table) in self.module.jump_tables.iter().enumerate() {
-            for (e, &target) in table.targets.iter().enumerate() {
-                m.store32(self.table_addrs[t] + 4 * e as u32, 8 * target as u32)
-                    .expect("jump table within subject memory");
-            }
-        }
-        m
+        self.machine_with(
+            self.module.jump_tables.iter().map(|t| t.targets.iter().map(|&x| 8 * x as u32)),
+        )
     }
 
     /// A fresh machine seeded for compressed execution: jump table entries
@@ -71,21 +66,22 @@ impl Subject {
     ///
     /// Panics if an init region or table lies outside the machine's memory.
     pub fn machine_compressed(&self, compressed: &CompressedProgram) -> Machine {
-        let mut m = self.machine_base();
-        for (t, table) in compressed.jump_tables.iter().enumerate() {
-            for (e, &target) in table.iter().enumerate() {
-                m.store32(self.table_addrs[t] + 4 * e as u32, target as u32)
-                    .expect("jump table within subject memory");
-            }
-        }
-        m
+        self.machine_with(compressed.jump_tables.iter().map(|t| t.iter().map(|&x| x as u32)))
     }
 
-    fn machine_base(&self) -> Machine {
+    /// A fresh machine holding the init regions, with entry *e* of table
+    /// *t* set to the *e*-th value of the *t*-th item of `tables`.
+    fn machine_with<T: Iterator<Item = u32>>(&self, tables: impl Iterator<Item = T>) -> Machine {
         let mut m = Machine::new(self.mem_bytes);
         for (addr, bytes) in &self.init_mem {
             let a = *addr as usize;
             m.mem[a..a + bytes.len()].copy_from_slice(bytes);
+        }
+        for (t, table) in tables.enumerate() {
+            for (e, value) in table.enumerate() {
+                m.store32(self.table_addrs[t] + 4 * e as u32, value)
+                    .expect("jump table within subject memory");
+            }
         }
         m
     }

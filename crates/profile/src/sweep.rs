@@ -13,11 +13,11 @@
 
 use codense_core::parallel::par_map;
 use codense_core::verify::verify;
-use codense_core::{telemetry, CompressionConfig, Compressor, EncodingKind};
+use codense_core::{telemetry, Compressor, EncodingKind};
 
 use crate::artifact::Profile;
 use crate::bench;
-use crate::collect::{collect_subject, ProfileError};
+use crate::collect::{collect_subject, config_for, ProfileError};
 use crate::cost::{score_compressed_subject, score_native_subject, CostParams, Score};
 use crate::hotness::{hot_mask, HotnessPolicy};
 use crate::subject::Subject;
@@ -91,10 +91,6 @@ struct BenchRef {
     full_ratio: f64,
 }
 
-fn config_for(encoding: EncodingKind) -> CompressionConfig {
-    CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding }
-}
-
 fn bench_ref(subject: &Subject, options: &HybridOptions) -> Result<BenchRef, ProfileError> {
     let profile = collect_subject(subject, options.encoding, options.max_steps)?;
     let native = score_native_subject(subject, &options.cost, options.max_steps)?;
@@ -161,11 +157,9 @@ pub fn hybrid_sweep_subjects(
     let _phase = telemetry::phase("hybrid-sweep");
 
     // Per-bench reference data first (profile, native score, full score)…
-    let refs = par_map(subjects.iter().collect(), |_, s: &Subject| bench_ref(s, options));
-    let mut bench_refs = Vec::with_capacity(subjects.len());
-    for r in refs {
-        bench_refs.push(r?);
-    }
+    let bench_refs = par_map(subjects.iter().collect(), |_, s: &Subject| bench_ref(s, options))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     // …then every (bench, coverage) point as one flat parallel batch.
     let jobs: Vec<(usize, f64)> =

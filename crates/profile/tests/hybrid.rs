@@ -7,8 +7,8 @@ use codense_core::verify::verify;
 use codense_core::{CompressionConfig, Compressor, EncodingKind};
 use codense_fuzz::oracle::{lockstep, LockstepOk, TraceMask};
 use codense_profile::{
-    bench, collect, hot_mask, hybrid_sweep, render_bench_json, render_profiles_json,
-    score_compressed, score_native, HotnessPolicy, HybridOptions,
+    bench, collect, fetch_events, hot_mask, hybrid_sweep, render_bench_json, render_profiles_json,
+    score_compressed, score_native, HotnessPolicy, HybridOptions, Subject,
 };
 
 fn config_for(encoding: EncodingKind) -> CompressionConfig {
@@ -107,7 +107,9 @@ fn artifacts_are_identical_across_jobs() {
     let kernels: Vec<_> = bench::benches().into_iter().take(4).collect();
     let render = |jobs: usize| {
         let profiles = par_map_with(jobs, kernels.clone(), |_, k| {
-            collect(&k, EncodingKind::NibbleAligned, 10_000_000).unwrap()
+            let p = collect(&k, EncodingKind::NibbleAligned, 10_000_000).unwrap();
+            let f = fetch_events(&Subject::from_kernel(&k), &p, 10_000_000).unwrap();
+            (p, f)
         });
         render_profiles_json(&profiles, "nibble")
     };

@@ -7,8 +7,10 @@
 //! loop over `LinearFetcher` / `CompressedFetcher`, wrapped in a recording
 //! `TracingFetch`, with the trace counted and then replayed through the
 //! original per-access cache model. Both must agree field by field on
-//! every `Profile` and `Score`, and move every telemetry counter by the
-//! same amount.
+//! every `Profile`, `FetchEvents` and `Score`, and move every telemetry
+//! counter by the same amount. The profile spec is the native counting run
+//! alone; the reference compressed run behind `FetchEvents` has its own
+//! spec on the re-parsing `CompressedFetcher`.
 //!
 //! Telemetry counters are process-global, so every test here holds
 //! [`SERIAL`] while it measures.
@@ -21,8 +23,8 @@ use std::sync::Mutex;
 use codense_core::{telemetry, CompressedProgram, CompressionConfig, Compressor, EncodingKind};
 use codense_obj::BasicBlocks;
 use codense_profile::{
-    bench, collect_subject, hot_mask, score_compressed_subject, score_native_subject, BlockStat,
-    CostParams, FetchEvents, HotnessPolicy, Profile, ProfileError, Score, Subject,
+    bench, collect_subject, fetch_events, hot_mask, score_compressed_subject, score_native_subject,
+    BlockStat, CostParams, FetchEvents, HotnessPolicy, Profile, ProfileError, Score, Subject,
 };
 use codense_vm::reference::{run, CompressedFetcher, LinearFetcher};
 use codense_vm::{run_predecoded, Fetch, Machine, MachineError, PredecodedFetcher, RunResult};
@@ -57,6 +59,7 @@ fn spec_run<F: Fetch>(
     Ok((result, fetch))
 }
 
+/// The native counting run: a traced per-fetch run, its trace counted.
 fn spec_collect(
     subject: &Subject,
     encoding: EncodingKind,
@@ -70,22 +73,6 @@ fn spec_collect(
     for r in traced.trace() {
         counts[(r.nibble_addr / 8) as usize] += 1;
     }
-
-    let config =
-        CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
-    let compressed = Compressor::new(config).compress(&subject.module)?;
-    let cfetch = CompressedFetcher::new(&compressed);
-    let (creference, _) =
-        spec_run(subject, subject.machine_compressed(&compressed), cfetch, max_steps)?;
-    let cstats = creference.stats;
-    let fetch = FetchEvents {
-        linear_insns: native.stats.insns,
-        escapes: cstats.insns - cstats.expanded_insns,
-        codewords: cstats.codewords,
-        expanded_insns: cstats.expanded_insns,
-        nibbles: cstats.nibbles_fetched,
-        realigns: cstats.realigns,
-    };
     let blocks: Vec<BlockStat> = BasicBlocks::compute(&subject.module)
         .blocks()
         .iter()
@@ -100,12 +87,37 @@ fn spec_collect(
     telemetry::PROFILE_INSNS_COUNTED.add(native.steps);
     Ok(Profile {
         bench: subject.name.clone(),
+        encoding,
         insns: subject.module.len(),
         steps: native.steps,
         exit: native.exit_code,
         counts,
         blocks,
-        fetch,
+    })
+}
+
+/// The reference compressed run behind the artifact's fetch block, on the
+/// re-parsing `CompressedFetcher`.
+fn spec_fetch_events(
+    subject: &Subject,
+    profile: &Profile,
+    max_steps: u64,
+) -> Result<FetchEvents, ProfileError> {
+    let _phase = telemetry::phase("fetch_events");
+    let encoding = profile.encoding;
+    let config =
+        CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
+    let compressed = Compressor::new(config).compress(&subject.module)?;
+    let cfetch = CompressedFetcher::new(&compressed);
+    let (creference, _) =
+        spec_run(subject, subject.machine_compressed(&compressed), cfetch, max_steps)?;
+    let cstats = creference.stats;
+    Ok(FetchEvents {
+        escapes: cstats.insns - cstats.expanded_insns,
+        codewords: cstats.codewords,
+        expanded_insns: cstats.expanded_insns,
+        nibbles: cstats.nibbles_fetched,
+        realigns: cstats.realigns,
     })
 }
 
@@ -202,6 +214,12 @@ fn check_subject(subject: &Subject, encoding: EncodingKind, max_steps: u64) {
         || collect_subject(subject, encoding, max_steps),
         || spec_collect(subject, encoding, max_steps),
     ));
+    let profile = collect_subject(subject, encoding, max_steps).unwrap();
+    assert!(assert_same(
+        &format!("{what}: fetch events"),
+        || fetch_events(subject, &profile, max_steps),
+        || spec_fetch_events(subject, &profile, max_steps),
+    ));
     assert!(assert_same(
         &format!("{what}: native score"),
         || score_native_subject(subject, &params, max_steps),
@@ -211,7 +229,6 @@ fn check_subject(subject: &Subject, encoding: EncodingKind, max_steps: u64) {
         CompressionConfig { max_entry_len: 4, max_codewords: encoding.capacity(), encoding };
     let compressor = Compressor::new(config);
     let full = compressor.compress(&subject.module).unwrap();
-    let profile = collect_subject(subject, encoding, max_steps).unwrap();
     let mask = hot_mask(&profile, HotnessPolicy::TopCoverage(0.5));
     let hybrid = compressor.compress_masked(&subject.module, &mask.exempt).unwrap();
     for (kind, image) in [("full", &full), ("hybrid", &hybrid)] {
@@ -265,12 +282,18 @@ fn errors_match_the_spec() {
     // Out of steps, and a wrong expected exit.
     let wrong_exit = Subject { expected: kernel.expected + 1, ..subject.clone() };
     let nibble = EncodingKind::NibbleAligned;
+    let profile = collect_subject(&subject, nibble, MAX_STEPS).unwrap();
     for (s, steps) in [(&subject, 100), (&wrong_exit, MAX_STEPS)] {
         let ok = [
             assert_same(
                 "profile",
                 || collect_subject(s, nibble, steps),
                 || spec_collect(s, nibble, steps),
+            ),
+            assert_same(
+                "fetch events",
+                || fetch_events(s, &profile, steps),
+                || spec_fetch_events(s, &profile, steps),
             ),
             assert_same(
                 "native score",
@@ -283,7 +306,22 @@ fn errors_match_the_spec() {
                 || spec_score_compressed(s, &full, &params, steps),
             ),
         ];
-        assert_eq!(ok, [false; 3], "{steps} steps, exit {}", s.expected);
+        assert_eq!(ok, [false; 4], "{steps} steps, exit {}", s.expected);
+    }
+}
+
+#[test]
+fn collecting_a_profile_neither_compresses_nor_runs_compressed() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for kernel in bench::benches() {
+        let subject = Subject::from_kernel(&kernel);
+        let (profile, deltas) =
+            measured(|| collect_subject(&subject, EncodingKind::NibbleAligned, MAX_STEPS));
+        assert!(profile.is_ok(), "{}", kernel.name);
+        for name in ["compress.runs", "vm.fetch.codewords", "vm.fetch.escapes"] {
+            let moved = deltas.iter().find(|d| d.0 == name).expect("known counter").1;
+            assert_eq!(moved, 0, "{}: {name}", kernel.name);
+        }
     }
 }
 

@@ -143,6 +143,19 @@ pub(crate) fn unpack_entry(e: u32, side: &[u64]) -> (u64, u64, usize, usize) {
     }
 }
 
+/// Linear text has one entry-table slot per word: `1 << 3` nibbles.
+pub(crate) const LINEAR_SLOT_SHIFT: u32 = 3;
+
+/// Whether `pc` starts an entry-table slot of `1 << shift` nibbles
+/// ([`PredecodedFetcher::slot_shift`]); slot `pc >> shift` is its own only
+/// then. A PC between slots (mid-word in linear text) is never cached: its
+/// lookup misses and the fill faults. Lookups index first and check this
+/// beside the hit test, off the load's critical path.
+#[inline(always)]
+pub(crate) fn on_slot(pc: u64, shift: u32) -> bool {
+    pc & ((1 << shift) - 1) == 0
+}
+
 /// Counters a predecoded run loop accumulates locally and flushes in bulk —
 /// the batched form of the per-fetch bookkeeping. Final [`FetchStats`] and
 /// telemetry values are identical to per-fetch updates (the counters are
@@ -160,13 +173,13 @@ pub(crate) struct RunCounters {
 /// [`crate::reference::CompressedFetcher`] behind a decoded-item cache keyed
 /// by compressed-stream offset.
 ///
-/// Every nibble offset of the image has a cache slot. A miss parses the
-/// item at that offset exactly as the re-parsing engine would (escape
-/// detection, dictionary expansion, Huffman decode) and caches the
-/// delivered words in a shared pool; a hit replays the pool with no
-/// parsing and no allocation. Offsets that do not parse (mid-item PCs,
-/// truncated streams) fault without being cached, so a bad branch target
-/// faults on every attempt, just like the re-parsing engine.
+/// Every nibble offset of the image (every word of linear text) has a
+/// cache slot. A miss parses the item at that offset exactly as the
+/// re-parsing engine would (escape detection, dictionary expansion, Huffman
+/// decode) and caches the delivered words in a shared pool; a hit replays
+/// the pool with no parsing and no allocation. Offsets that do not parse
+/// (mid-item PCs, truncated streams) fault without being cached, so a bad
+/// branch target faults on every attempt, just like the re-parsing engine.
 ///
 /// The cache can be bounded with [`with_capacity`](Self::with_capacity)
 /// (eviction is a wholesale flush, the hardware-realistic policy for a
@@ -186,8 +199,9 @@ pub struct PredecodedFetcher {
     isa: IsaRef,
     huffman: Option<HuffCode>,
     by_rank: Vec<Vec<u32>>,
-    /// One slot per nibble offset of the image; packed with [`pack_entry`],
-    /// zero = empty.
+    /// One slot per item start the mode allows ([`Self::slot_shift`]):
+    /// per nibble offset of a packed stream, per word of linear text.
+    /// Packed with [`pack_entry`], zero = empty.
     entries: Vec<u32>,
     /// Wide entries that overflow the packed table form ([`TAG_SIDE`]).
     side: Vec<u64>,
@@ -251,7 +265,9 @@ impl PredecodedFetcher {
         let (encoding, isa) = (codense_core::EncodingKind::Baseline, IsaRef(&codense_ppc::ISA));
         PredecodedFetcher {
             linear: true,
-            ..Self::from_parts(image, encoding, isa, None, Vec::new())
+            image,
+            entries: vec![0; code.len()],
+            ..Self::from_parts(Vec::new(), encoding, isa, None, Vec::new())
         }
     }
 
@@ -313,6 +329,18 @@ impl PredecodedFetcher {
         self.buffer_pc = u64::MAX;
         self.drain_len = 0;
         self.drain_pos = 0;
+    }
+
+    /// Nibbles per entry-table slot, as a shift for [`on_slot`]: a packed
+    /// stream has a slot per nibble offset, linear text one per word (its
+    /// only fetchable PCs).
+    #[inline(always)]
+    pub(crate) fn slot_shift(&self) -> u32 {
+        if self.linear {
+            LINEAR_SLOT_SHIFT
+        } else {
+            0
+        }
     }
 
     /// Cached items currently resident.
@@ -411,7 +439,7 @@ impl PredecodedFetcher {
             }
         };
         pool.extend_from_slice(&words);
-        entries[pc as usize] = entry;
+        entries[(pc >> self.slot_shift()) as usize] = entry;
         self.filled += 1;
         Ok(entry)
     }
@@ -471,9 +499,10 @@ impl Fetch for PredecodedFetcher {
         if pc == self.buffer_pc && self.drain_pos < self.drain_len {
             return Ok(self.deliver_pooled());
         }
-        let e = match self.entries.get(pc as usize) {
-            Some(0) => self.fill(pc)?,
-            Some(&e) => e,
+        let shift = self.slot_shift();
+        let e = match self.entries.get((pc >> shift) as usize) {
+            Some(&e) if e != 0 && on_slot(pc, shift) => e,
+            Some(_) => self.fill(pc)?,
             None => return Err(MachineError::FetchFault { pc }),
         };
         let (tag, consumed, len, start) = unpack_entry(e, &self.side);
@@ -593,6 +622,26 @@ mod tests {
         assert!(cf.stats().nibbles_fetched < lf.stats().nibbles_fetched);
         assert_eq!(cf.stats().insns, lf.stats().insns);
         assert!(cf.stats().codewords > 0);
+    }
+
+    #[test]
+    fn linear_table_has_one_slot_per_word_and_unaligned_pcs_fault() {
+        let m = module();
+        let mut f = PredecodedFetcher::linear(m.code.clone());
+        assert_eq!(f.entries.len(), m.len());
+        // Warm the slots around the unaligned PCs, then fault next to them.
+        for pc in [0, 8] {
+            assert_eq!(f.fetch(pc).unwrap().word, m.code[pc as usize / 8]);
+        }
+        let end = 8 * m.len() as u64;
+        for pc in [1, 4, 7, 9, end - 4, end] {
+            assert_eq!(f.fetch(pc), Err(MachineError::FetchFault { pc }));
+            let mut fetch = PredecodedFetcher::linear(m.code.clone());
+            let got = run_predecoded(&mut Machine::new(4096), &mut fetch, pc, 100);
+            assert_eq!(got, Err(MachineError::FetchFault { pc }));
+            assert_eq!(fetch.cached_items(), 0);
+        }
+        assert_eq!((f.stats().insns, f.cached_items()), (2, 2));
     }
 
     #[test]

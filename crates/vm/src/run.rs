@@ -8,7 +8,7 @@
 //! instruction's PC and the program memory it consumed. The re-parsing
 //! per-step loop it is checked against is [`crate::reference::run`].
 
-use crate::fetch::{Fetch, FetchStats, PredecodedFetcher, RunCounters};
+use crate::fetch::{Fetch, FetchStats, PredecodedFetcher, RunCounters, LINEAR_SLOT_SHIFT};
 use crate::machine::{MachineError, Outcome};
 use codense_isa::PredecodeCore;
 
@@ -74,6 +74,22 @@ pub fn run_predecoded_with<C: PredecodeCore>(
     fetch: &mut PredecodedFetcher,
     entry: u64,
     max_steps: u64,
+    observe: impl FnMut(u64, u64),
+) -> Result<RunResult, MachineError> {
+    // One loop per entry-table geometry, with the slot shift a constant:
+    // packed-stream lookups index by `pc` with no per-fetch shift or mask.
+    if fetch.slot_shift() == 0 {
+        run_loop::<C, 0>(core, fetch, entry, max_steps, observe)
+    } else {
+        run_loop::<C, LINEAR_SLOT_SHIFT>(core, fetch, entry, max_steps, observe)
+    }
+}
+
+fn run_loop<C: PredecodeCore, const SLOT_SHIFT: u32>(
+    core: &mut C,
+    fetch: &mut PredecodedFetcher,
+    entry: u64,
+    max_steps: u64,
     mut observe: impl FnMut(u64, u64),
 ) -> Result<RunResult, MachineError> {
     use crate::fetch::TAG_INSN;
@@ -113,8 +129,8 @@ pub fn run_predecoded_with<C: PredecodeCore>(
                 nibbles = 0;
                 c.expanded += 1;
             } else {
-                let e = match entries.get(pc as usize) {
-                    Some(&e) if e != 0 => e,
+                let e = match entries.get((pc >> SLOT_SHIFT) as usize) {
+                    Some(&e) if e != 0 && crate::fetch::on_slot(pc, SLOT_SHIFT) => e,
                     _ => {
                         // Miss (or out-of-range pc): parse and fill, then
                         // sync the mirror. A capacity flush bumps the

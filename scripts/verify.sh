@@ -189,12 +189,12 @@ awk -F'"hit_ratio": ' '/"distinct": 1,/ {
 }
 
 echo "==> speed-regression smoke (interned matchfinder vs checked-in baseline)"
-# Times only the interned engine (3 samples) and gates against the
+# Times only the interned engine (9 samples, as blessed) and gates against the
 # committed BENCH_speed.json with the default 3x floor: generous enough
 # for any shared-runner wobble, tight enough to catch an order-of-
 # magnitude regression of the matchfinder. Re-bless with
 #   codense speed --samples 9 --out BENCH_speed.json
-./target/release/codense speed --no-reference --samples 3 \
+./target/release/codense speed --no-reference --samples 9 \
     --out "$tmp/BENCH_speed.json" --check BENCH_speed.json
 
 echo "==> corpus smoke (100K insns: generate -> compress -> verify -> VM, counters --jobs 1 vs --jobs 8)"
